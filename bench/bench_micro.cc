@@ -228,11 +228,11 @@ BENCHMARK(BM_StackDistance)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_IdleSweep(benchmark::State& state) {
   Rng rng(3);
-  std::vector<cache::IdleEvent> events;
+  cache::IdleSeries events;
   double t = 0.0;
   for (int i = 0; i < 100000; ++i) {
     t += rng.exponential(0.006);
-    events.push_back({t, 1 + rng.uniform_index(8192 * 64)});
+    events.push_back(t, 1 + rng.uniform_index(8192 * 64));
   }
   std::vector<std::uint64_t> candidates;
   for (std::uint64_t u = 1; u <= 8192; u += 32) candidates.push_back(u);
@@ -280,11 +280,9 @@ BENCHMARK(BM_TraceSynthesis);
 
 // Materializes a trace once and replays it through a single policy's full
 // pipeline per iteration — exactly one unit of run_sweep's fan-out, and the
-// perf baseline for the engine hot loop (items = trace events). Arg 0 picks
-// the policy (0 = fixed FM/2C, 1 = joint), arg 1 the replay batch size:
-// batch 1 is the classic per-event loop, 64/256 exercise the batched
-// resolve+prefetch path. Results are bit-identical across batch sizes; only
-// throughput moves.
+// perf baseline for the engine hot loop (items = trace events). The arg
+// picks the policy: 0 = fixed FM/2C, 1 = joint (fused resolve+prefetch
+// walk), 2 = DS (per-bank disable timers in the batch limit).
 void BM_EngineReplay(benchmark::State& state) {
   workload::SynthesizerConfig cfg;
   cfg.dataset_bytes = mib(256);
@@ -299,24 +297,18 @@ void BM_EngineReplay(benchmark::State& state) {
   e.joint.unit_bytes = 16 * kMiB;
   e.joint.page_bytes = 64 * kKiB;
   e.joint.period_s = 300.0;
-  e.batch_size = static_cast<std::uint32_t>(state.range(1));
-  const auto policy = state.range(0) == 0
-                          ? sim::fixed_policy(
-                                sim::DiskPolicyKind::kTwoCompetitive, mib(128))
-                          : sim::joint_policy();
+  const sim::PolicySpec policies[] = {
+      sim::fixed_policy(sim::DiskPolicyKind::kTwoCompetitive, mib(128)),
+      sim::joint_policy(),
+      sim::disable_policy(sim::DiskPolicyKind::kTwoCompetitive, gib(1))};
+  const sim::PolicySpec& policy = policies[state.range(0)];
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::run_simulation(trace, policy, e));
   }
   state.SetItemsProcessed(
       state.iterations() * static_cast<std::int64_t>(trace.size()));
 }
-BENCHMARK(BM_EngineReplay)
-    ->Args({0, 1})
-    ->Args({0, 64})
-    ->Args({0, 256})
-    ->Args({1, 1})
-    ->Args({1, 64})
-    ->Args({1, 256});
+BENCHMARK(BM_EngineReplay)->Arg(0)->Arg(1)->Arg(2);
 
 // Work whose cost the optimizer cannot collapse: a multiply-add chain with a
 // loop-carried dependence, `rounds` deep.

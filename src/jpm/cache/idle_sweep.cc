@@ -202,15 +202,4 @@ std::vector<IdleEstimate> sweep_idle_intervals(
   return out;
 }
 
-std::vector<IdleEstimate> sweep_idle_intervals(
-    const std::vector<IdleEvent>& events, double period_start_s,
-    double period_end_s, std::uint64_t unit_frames, double window_s,
-    const std::vector<std::uint64_t>& candidate_units) {
-  IdleSeries series;
-  series.reserve(events.size());
-  for (const auto& e : events) series.push_back(e);
-  return sweep_idle_intervals(series, period_start_s, period_end_s,
-                              unit_frames, window_s, candidate_units);
-}
-
 }  // namespace jpm::cache

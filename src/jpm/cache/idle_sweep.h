@@ -74,8 +74,8 @@ struct IdleEstimate {
 // count as idle intervals. window_s is the paper's aggregation window w.
 //
 // The raw-lane form is the core (one call per period per run; its working
-// vectors are thread-local scratch reused across calls); the IdleSeries and
-// AoS overloads forward to it.
+// vectors are thread-local scratch reused across calls); the IdleSeries
+// overload forwards to it.
 std::vector<IdleEstimate> sweep_idle_intervals(
     const double* times, const std::uint64_t* depths, std::size_t n,
     double period_start_s, double period_end_s, std::uint64_t unit_frames,
@@ -89,10 +89,5 @@ inline std::vector<IdleEstimate> sweep_idle_intervals(
                               events.size(), period_start_s, period_end_s,
                               unit_frames, window_s, candidate_units);
 }
-
-std::vector<IdleEstimate> sweep_idle_intervals(
-    const std::vector<IdleEvent>& events, double period_start_s,
-    double period_end_s, std::uint64_t unit_frames, double window_s,
-    const std::vector<std::uint64_t>& candidate_units);
 
 }  // namespace jpm::cache

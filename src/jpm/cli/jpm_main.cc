@@ -582,7 +582,7 @@ int cmd_trace_pack(const std::vector<std::string>& args) {
   }
   jpm::workload::Trace trace = jpm::tracefile::load_any_trace(in_file);
   // Legacy formats carry no geometry: default the page size, derive the
-  // data-set size and duration from the events (the ReplayTrace rules),
+  // data-set size and duration from the events (the Trace replay rules),
   // unless flags pin them down.
   if (page_bytes != 0) trace.page_bytes = page_bytes;
   if (trace.page_bytes == 0) trace.page_bytes = 256 * jpm::kKiB;

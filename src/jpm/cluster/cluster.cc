@@ -395,16 +395,25 @@ ClusterMetrics ClusterEngine::run() {
       recorders[s] = telemetry::begin_run("server" + std::to_string(s));
     }
   }
+  // Without per-server streams (server telemetry off inside a cluster
+  // sweep), the servers' events go to the caller's stream — the sweep
+  // job's — but not their metrics or period rows, which carry no server
+  // column. Only a serial loop feeds one stream in server order.
+  telemetry::RunRecorder* const caller =
+      recorders.empty() ? telemetry::current_run() : nullptr;
   // Per-server pipelines replay disjoint shard blocks and share nothing
   // mutable, so they fan out as stealable tasks (JPM_THREADS workers,
   // JPM_SCHED schedule — stealing absorbs stragglers like fault-heavy or
   // hot-partition servers); each task writes only its own ServerOutcome
   // slot, so results never depend on the schedule.
-  util::parallel_for(config_.server_count, [&](std::size_t s) {
+  const unsigned workers =
+      caller != nullptr ? 1 : util::default_thread_count();
+  util::parallel_for(config_.server_count, workers, [&](std::size_t s) {
     ServerOutcome& server = out.servers[s];
     server.requests = shards.request_counts[s];
     const telemetry::ScopedRun scope(
-        recorders.empty() ? nullptr : recorders[s]);
+        recorders.empty() ? caller : recorders[s],
+        /*events_only=*/recorders.empty());
     const telemetry::SpanTimer span("server_pipeline",
                                     "server" + std::to_string(s));
     if (!recorders.empty() && recorders[s] != nullptr) {
@@ -437,7 +446,10 @@ ClusterMetrics ClusterEngine::run() {
       // Never touched: the pipeline idles the whole run. Account it with a
       // single synthetic request-start at t=0, exactly like the replay path
       // always has.
-      engine.push(0.0, 0, workload::kTraceFlagStart);
+      const double t = 0.0;
+      const std::uint64_t page = 0;
+      const std::uint8_t flags = workload::kTraceFlagStart;
+      engine.push_chunk(&t, &page, &flags, 1);
     } else {
       engine.push_chunk(shards.times.data() + begin,
                         shards.pages.data() + begin,

@@ -139,6 +139,9 @@ class ClusterEngine {
   // driver that already owns one telemetry run per (point, policy) job turns
   // them off: a 500-point × 1000-server grid would otherwise register half a
   // million streams, from inside the fan-out, in schedule-dependent order.
+  // With them off, the servers' events go to the caller's bound stream
+  // (their metrics and period rows are not recorded), one server after
+  // another in server order.
   void set_server_telemetry(bool enabled) { server_telemetry_ = enabled; }
 
   // Splits the workload, replays every server, and aggregates.

@@ -15,14 +15,27 @@ BankSet::BankSet(std::uint32_t bank_count, const RdramParams& params,
       bank_pd_w_(params.powerdown_power_w(params.bank_bytes)),
       last_access_(bank_count, start_time_s),
       integrated_to_(bank_count, start_time_s),
-      generation_(bank_count, 0),
       disabled_(bank_count, false) {
   JPM_CHECK(bank_count > 0);
   if (policy_ == BankPolicy::kDisable) {
-    for (std::uint32_t b = 0; b < bank_count; ++b) {
-      timers_.push(Timer{start_time_s + params_.disable_timeout_s, b, 0});
-    }
+    prev_.resize(bank_count);
+    next_.resize(bank_count);
+    for (std::uint32_t b = 0; b < bank_count; ++b) append(b);
   }
+}
+
+void BankSet::unlink(std::uint32_t bank) {
+  const std::uint32_t p = prev_[bank];
+  const std::uint32_t n = next_[bank];
+  (p == kNone ? head_ : next_[p]) = n;
+  (n == kNone ? tail_ : prev_[n]) = p;
+}
+
+void BankSet::append(std::uint32_t bank) {
+  prev_[bank] = tail_;
+  next_[bank] = kNone;
+  (tail_ == kNone ? head_ : next_[tail_]) = bank;
+  tail_ = bank;
 }
 
 void BankSet::integrate(std::uint32_t bank, double t) {
@@ -59,25 +72,34 @@ void BankSet::integrate(std::uint32_t bank, double t) {
 void BankSet::touch(std::uint32_t bank, double t) {
   JPM_CHECK(bank < bank_count());
   integrate(bank, t);
-  disabled_[bank] = false;
   last_access_[bank] = t;
-  const std::uint64_t gen = ++generation_[bank];
   if (policy_ == BankPolicy::kDisable) {
-    timers_.push(Timer{t + params_.disable_timeout_s, bank, gen});
+    // Enabled banks are exactly the armed ones: move to the tail (newest).
+    if (!disabled_[bank]) unlink(bank);
+    append(bank);
   }
+  disabled_[bank] = false;
+}
+
+double BankSet::next_disable_s(double t) const {
+  if (policy_ != BankPolicy::kDisable) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return head_ == kNone ? t + params_.disable_timeout_s
+                        : last_access_[head_] + params_.disable_timeout_s;
 }
 
 std::vector<BankDisable> BankSet::take_due_disables(double t) {
   std::vector<BankDisable> fired;
-  while (!timers_.empty() && timers_.top().fire_at <= t) {
-    const Timer timer = timers_.top();
-    timers_.pop();
-    if (timer.generation != generation_[timer.bank]) continue;  // re-touched
-    if (disabled_[timer.bank]) continue;
-    integrate(timer.bank, timer.fire_at);
-    disabled_[timer.bank] = true;
+  while (head_ != kNone) {
+    const std::uint32_t bank = head_;
+    const double fire_at = last_access_[bank] + params_.disable_timeout_s;
+    if (fire_at > t) break;
+    unlink(bank);
+    integrate(bank, fire_at);
+    disabled_[bank] = true;
     ++disable_count_;
-    fired.push_back(BankDisable{timer.bank, timer.fire_at});
+    fired.push_back(BankDisable{bank, fire_at});
   }
   return fired;
 }

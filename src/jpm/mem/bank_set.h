@@ -8,12 +8,13 @@
 // the bank's cached pages at the moment the disable fires — take_due_disables
 // surfaces those moments exactly, in time order.
 //
-// Energy is integrated lazily per bank (on touch and at finalize), so the
-// per-access cost is O(1) for PD and O(log banks) for DS (timer heap).
+// Energy is integrated lazily per bank (on touch and at finalize). DS keeps
+// its armed banks on an intrusive list in last-touch order: every bank shares
+// one timeout, so they expire in exactly that order, and both touch and the
+// next expiry are O(1).
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "jpm/mem/rdram_model.h"
@@ -40,9 +41,15 @@ class BankSet {
   // calls). Re-enables a disabled bank.
   void touch(std::uint32_t bank, double t);
 
-  // Disables that fired at or before t, in nondecreasing time order. The
-  // caller invalidates the corresponding cache contents. Empty unless the
-  // policy is kDisable.
+  // Earliest time a disable can fire, given no touch before t: the head
+  // bank's expiry, or t + disable_timeout_s when no bank is armed (a touch
+  // at or after t arms no earlier expiry). +inf for PD and nap. Events
+  // from t strictly before it cannot trip a disable.
+  double next_disable_s(double t) const;
+
+  // Disables that fired at or before t, in nondecreasing time order (ties in
+  // touch order). The caller invalidates the corresponding cache contents.
+  // Empty unless the policy is kDisable.
   std::vector<BankDisable> take_due_disables(double t);
 
   // Integrates all banks' energy up to t (end of run or period boundary).
@@ -57,14 +64,11 @@ class BankSet {
   std::uint64_t disable_count() const { return disable_count_; }
 
  private:
-  struct Timer {
-    double fire_at;
-    std::uint32_t bank;
-    std::uint64_t generation;
-    bool operator>(const Timer& o) const { return fire_at > o.fire_at; }
-  };
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
   void integrate(std::uint32_t bank, double t);
+  void unlink(std::uint32_t bank);
+  void append(std::uint32_t bank);
 
   RdramParams params_;
   BankPolicy policy_;
@@ -72,9 +76,12 @@ class BankSet {
   double bank_pd_w_;
   std::vector<double> last_access_;      // last touch (or start) per bank
   std::vector<double> integrated_to_;    // energy accounted through this time
-  std::vector<std::uint64_t> generation_;
   std::vector<bool> disabled_;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers_;
+  // Armed banks (kDisable only), oldest touch at head_.
+  std::vector<std::uint32_t> prev_;
+  std::vector<std::uint32_t> next_;
+  std::uint32_t head_ = kNone;
+  std::uint32_t tail_ = kNone;
   double static_energy_j_ = 0.0;
   std::uint64_t disable_count_ = 0;
 };

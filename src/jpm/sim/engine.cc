@@ -1,6 +1,7 @@
 #include "jpm/sim/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 #include <sstream>
@@ -22,6 +23,7 @@
 #include "jpm/telemetry/telemetry.h"
 #include "jpm/util/arena.h"
 #include "jpm/util/check.h"
+#include "jpm/workload/synthesizer.h"
 #include "jpm/workload/trace.h"
 
 namespace jpm::sim {
@@ -30,11 +32,8 @@ struct Engine::Impl {
   PolicySpec policy;
   EngineConfig config;
 
-  // Trace source: a live generator, an owned replay, or a borrowed immutable
-  // Trace. The latter two both run through the SoA lane views below (the
-  // ReplayTrace constructor converts its AoS events into `owned_trace`).
-  std::unique_ptr<workload::TraceGenerator> generator;
-  workload::Trace owned_trace;  // storage for the ReplayTrace constructor
+  // Trace source: a borrowed immutable Trace (run()) viewed through these SoA
+  // lanes, or a live source whose chunks arrive through push_chunk().
   const double* ev_times = nullptr;
   const std::uint64_t* ev_pages = nullptr;
   const std::uint8_t* ev_flags = nullptr;
@@ -82,6 +81,11 @@ struct Engine::Impl {
   // not allocate a fresh vector per event.
   std::vector<cache::PageId> dirty_scratch;
 
+  // Events per feed() batch, and the batch's resolved page-table entries
+  // (fused joint mode; see feed()).
+  static constexpr std::size_t kBatch = 64;
+  std::array<cache::PageEntry*, kBatch> entries{};
+
   // Per-period measured quantities (Fig. 9 and period records).
   double next_boundary = 0.0;
   double period_start = 0.0;
@@ -119,28 +123,6 @@ struct Engine::Impl {
     std::uint64_t spin_ups = 0;
     double latency_s = 0.0;
   } snapshot;
-
-  Impl(const workload::SynthesizerConfig& wl, const PolicySpec& spec,
-       const EngineConfig& cfg)
-      : policy(spec), config(cfg),
-        generator(std::make_unique<workload::TraceGenerator>(wl)),
-        meter(cfg.joint.mem, 0, 0.0), last_disk_finish(0.0) {
-    duration_s = wl.duration_s;
-    total_pages = generator->total_pages();
-    init(wl.page_bytes);
-  }
-
-  Impl(ReplayTrace trace, const PolicySpec& spec, const EngineConfig& cfg)
-      : policy(spec), config(cfg), meter(cfg.joint.mem, 0, 0.0),
-        last_disk_finish(0.0) {
-    duration_s = trace.duration_s;
-    total_pages = trace.total_pages;
-    owned_trace = workload::trace_from_events(trace.events, trace.page_bytes,
-                                              trace.total_pages,
-                                              trace.duration_s);
-    attach_trace(owned_trace);
-    init(trace.page_bytes);
-  }
 
   Impl(const workload::Trace& trace, const PolicySpec& spec,
        const EngineConfig& cfg)
@@ -205,8 +187,8 @@ struct Engine::Impl {
     const std::uint64_t max_page = std::max(std::max(m0, m1), std::max(m2, m3));
     const double prev = tr.times.back();
     // Events may trail slightly past the declared duration (the synthesizer
-    // admits arrivals up to it and their pages follow); like the generator
-    // path, the run still closes its books at the declared duration.
+    // admits arrivals up to it and their pages follow); the run still closes
+    // its books at the declared duration.
     if (duration_s == 0.0) duration_s = prev;
     if (total_pages == 0) total_pages = max_page + 1;
     JPM_CHECK_MSG(max_page < total_pages,
@@ -245,9 +227,6 @@ struct Engine::Impl {
     }
     if (config.long_latency_threshold_s < 0.0) {
       bad("long_latency_threshold_s must be nonnegative");
-    }
-    if (config.batch_size == 0 || config.batch_size > 65536) {
-      bad("batch_size must be in [1, 65536]");
     }
     jc.disk.validate();
     fault::validate(config.fault);
@@ -481,43 +460,39 @@ struct Engine::Impl {
   }
 
   void close_period(double boundary) {
+    // Realized energy first: it integrates the meters through the boundary
+    // before the record reads the disk's busy time.
+    const double realized_j =
+        telem_periods != nullptr
+            ? telem_energy_through(boundary) - telem_prev_energy_j
+            : 0.0;
+    PeriodRecord rec;
+    rec.start_s = period_start;
+    rec.end_s = boundary;
+    rec.cache_accesses = period_cache_accesses;
+    rec.disk_accesses = period_disk_accesses;
+    rec.mean_idle_s =
+        period_gap_count == 0
+            ? 0.0
+            : period_gap_sum / static_cast<double>(period_gap_count);
+    rec.memory_units = current_units;
+    rec.timeout_s = timeout_policy->timeout_s();
+    rec.busy_s = disk->busy_time_s() - period_busy_start_s;
+    rec.delayed_requests = period_delayed_requests;
+    rec.shed_events = period_shed_events;
+    rec.degraded = period_shed_events > 0 || forced_fallback;
     if (telem_periods != nullptr) {
-      const double realized_j =
-          telem_energy_through(boundary) - telem_prev_energy_j;
       telem_prev_energy_j += realized_j;
-      const double mean_idle =
-          period_gap_count == 0
-              ? 0.0
-              : period_gap_sum / static_cast<double>(period_gap_count);
       telem_periods->add_row(
-          {period_start, boundary,
-           static_cast<double>(period_cache_accesses),
-           static_cast<double>(period_disk_accesses), mean_idle,
-           static_cast<double>(current_units), timeout_policy->timeout_s(),
-           disk->busy_time_s() - period_busy_start_s,
-           static_cast<double>(period_delayed_requests), realized_j});
+          {rec.start_s, rec.end_s, static_cast<double>(rec.cache_accesses),
+           static_cast<double>(rec.disk_accesses), rec.mean_idle_s,
+           static_cast<double>(rec.memory_units), rec.timeout_s, rec.busy_s,
+           static_cast<double>(rec.delayed_requests), realized_j});
       TELEM_EVENT(kEngine, "period_close", boundary,
-                  {"disk_accesses", static_cast<double>(period_disk_accesses)},
+                  {"disk_accesses", static_cast<double>(rec.disk_accesses)},
                   {"realized_j", realized_j});
     }
-    if (config.record_periods) {
-      PeriodRecord rec;
-      rec.start_s = period_start;
-      rec.end_s = boundary;
-      rec.cache_accesses = period_cache_accesses;
-      rec.disk_accesses = period_disk_accesses;
-      rec.mean_idle_s = period_gap_count == 0
-                            ? 0.0
-                            : period_gap_sum /
-                                  static_cast<double>(period_gap_count);
-      rec.memory_units = current_units;
-      rec.timeout_s = timeout_policy->timeout_s();
-      rec.busy_s = disk->busy_time_s() - period_busy_start_s;
-      rec.delayed_requests = period_delayed_requests;
-      rec.shed_events = period_shed_events;
-      rec.degraded = period_shed_events > 0 || forced_fallback;
-      metrics.periods.push_back(rec);
-    }
+    if (config.record_periods) metrics.periods.push_back(rec);
     period_start = boundary;
     period_cache_accesses = 0;
     period_disk_accesses = 0;
@@ -590,7 +565,7 @@ struct Engine::Impl {
     }
     // Note: cache_accesses / period_cache_accesses are bumped by the caller
     // (per event in step_event, once per batch in feed — batches provably
-    // cross no boundary, and the counters are only read at boundaries and
+    // cross no timer edge, and the counters are only read at boundaries and
     // at the end of a run, so the batched bump is observationally exact).
 
     if (entry->frame != cache::kNoFrame) {
@@ -675,12 +650,10 @@ struct Engine::Impl {
     }
   }
 
-  // The full per-event path: timer bookkeeping, then a single page-table
-  // probe resolves the page for every consumer of the event — the
-  // stack-distance update reads/writes the entry's `slot` half and the
-  // residency check reads its `frame` half. This is the generator path's
-  // loop body and the batched replay's fallback for events at or past a
-  // timer edge.
+  // The full per-event path for an event that lands on a timer edge: fire
+  // the due timers, then a single page-table probe resolves the page for
+  // every consumer of the event — the stack-distance update reads/writes
+  // the entry's `slot` half and the residency check reads its `frame` half.
   void step_event(double t, std::uint64_t page, bool is_write) {
     advance_timers(t);
     ++metrics.cache_accesses;
@@ -708,25 +681,38 @@ struct Engine::Impl {
     }
   }
 
-  // Batched event feed — the shared core of trace replay and the streaming
-  // daemon (which pushes ring-drained SoA chunks through the same code).
-  // Pulls events in runs of up to batch_size that provably cross no period
-  // boundary, flush tick, or warm-up edge, so per-event timer checks vanish
-  // from the hot loop. In fused joint runs the batch's page-table probes are
-  // all resolved up front (entry pointers stay valid: eviction never erases
-  // an entry whose tracker half is live, and compaction rewrites slots
-  // without touching the map), then the apply pass walks the events in
-  // software-pipelined lockstep: while event k's counter-tree descent and
-  // LRU splice execute, the lines event k+kPipelineAhead will touch are
-  // being prefetched. Keeping the prefetch a fixed small distance ahead —
-  // instead of hinting the whole batch up front — bounds the in-flight
-  // footprint to a few cache lines per lane, so hints are still resident
-  // when their event arrives (the whole-batch variant evicted its own hints
-  // at batch 256 and ran *slower* than batch 1; see DESIGN.md). The
-  // non-fused mode re-probes per event, since eviction without a tracker
-  // erases entries and relocates their neighbors, but pipelines its probe
-  // prefetches the same way. Bit-identical to the per-event loop for every
-  // batch size and every chunking of the event stream into feed() calls.
+  // The earliest time at which advance_timers has work for a batch whose
+  // events start at t: an event strictly before it trips no boundary
+  // (<= fires), flush (<= fires), bank disable (<= fires), or warm-up
+  // snapshot (>= fires). The batch's own accesses cannot move it earlier: a
+  // bank touch at or after t re-arms that bank behind every armed one, and
+  // when none is armed it expires no sooner than t + the disable timeout.
+  double next_timer_edge(double t) const {
+    double edge = next_boundary;
+    if (config.flush_interval_s > 0.0) edge = std::min(edge, next_flush);
+    if (!snapshot.taken) edge = std::min(edge, config.warm_up_s);
+    if (banks) edge = std::min(edge, banks->next_disable_s(t));
+    return edge;
+  }
+
+  // Batched event feed — the one event path, shared by trace replay and the
+  // streaming daemon (which pushes ring-drained SoA chunks through it).
+  // Pulls events in runs of up to kBatch that land before the next timer
+  // edge, so per-event timer checks vanish from the hot loop; an event on
+  // the edge goes through step_event alone. In fused joint runs the batch's
+  // page-table probes are all resolved up front (entry pointers stay valid:
+  // eviction never erases an entry whose tracker half is live, and
+  // compaction rewrites slots without touching the map), then the apply
+  // pass walks the events in software-pipelined lockstep: while event k's
+  // counter-tree descent and LRU splice execute, the lines event
+  // k+kPipelineAhead will touch are being prefetched. Keeping the prefetch a
+  // fixed small distance ahead — instead of hinting the whole batch up
+  // front — bounds the in-flight footprint to a few cache lines per lane, so
+  // hints are still resident when their event arrives (see DESIGN.md). The
+  // re-probing mode (no tracker, or readahead) probes per event, since
+  // eviction without a tracker erases entries and relocates their
+  // neighbors, but pipelines its probe prefetches the same way. Results are
+  // bit-identical for every chunking of the event stream into feed() calls.
   void feed(const double* ev_times, const std::uint64_t* ev_pages,
             const std::uint8_t* ev_flags, std::size_t n) {
     // Far enough that a hint's line arrives from L2/L3 before its event,
@@ -740,32 +726,16 @@ struct Engine::Impl {
     // current capacity (re-read per batch; inserts can grow it) cannot
     // change results.
     constexpr std::size_t kHintMinTableSlots = std::size_t{64} * 1024;
-    const std::size_t batch = config.batch_size;
-    // Bank policies carry their own per-event timer (pending disables), so
-    // they keep the classic loop.
-    const bool batching = batch > 1 && banks == nullptr;
     const bool ptr_mode = tracker != nullptr && config.readahead_pages == 0;
-    std::vector<cache::PageEntry*> entries;
-    if (batching && ptr_mode) entries.resize(batch);
+    const auto prefetch_lane = [this](const cache::PageEntry* entry,
+                                      std::size_t distance) {
+      tracker->prefetch_access(*entry, distance);
+      if (entry->frame != cache::kNoFrame) lru->prefetch_frame(entry->frame);
+    };
 
     std::size_t i = 0;
     while (i < n) {
-      if (!batching) {
-        step_event(ev_times[i], ev_pages[i],
-                   (ev_flags[i] & workload::kTraceFlagWrite) != 0);
-        ++i;
-        continue;
-      }
-      // Next time at which per-event bookkeeping must run. Events strictly
-      // before it cannot trip a boundary (<= fires), a flush (<= fires), or
-      // the warm-up snapshot (>= fires).
-      double limit = next_boundary;
-      if (config.flush_interval_s > 0.0 && next_flush < limit) {
-        limit = next_flush;
-      }
-      if (!snapshot.taken && config.warm_up_s < limit) {
-        limit = config.warm_up_s;
-      }
+      const double limit = next_timer_edge(ev_times[i]);
       if (ev_times[i] >= limit) {
         step_event(ev_times[i], ev_pages[i],
                    (ev_flags[i] & workload::kTraceFlagWrite) != 0);
@@ -773,12 +743,15 @@ struct Engine::Impl {
         continue;
       }
       std::size_t end = i + 1;
-      const std::size_t cap = std::min(n, i + batch);
+      const std::size_t cap = std::min(n, i + kBatch);
       while (end < cap && ev_times[end] < limit) ++end;
       const std::size_t m = end - i;
+      const double* times = ev_times + i;
+      const std::uint64_t* pages = ev_pages + i;
+      const std::uint8_t* flags = ev_flags + i;
       // Batched bump of the two per-event access counters (see the note in
-      // apply_access): no boundary, flush, or snapshot can fire inside the
-      // batch, and nothing else reads them mid-event.
+      // apply_access): no timer can fire inside the batch, and nothing else
+      // reads them mid-event.
       metrics.cache_accesses += m;
       period_cache_accesses += m;
       // One relaxed atomic load per batch instead of per event. Sessions
@@ -786,77 +759,56 @@ struct Engine::Impl {
       // thread's start()/stop() racing a relaxed load) has no ordering
       // guarantee to preserve in the first place.
       const bool telem_on = telemetry::enabled();
-
       const bool hint = page_table.capacity() >= kHintMinTableSlots;
+      const std::size_t lead = std::min(m, kPipelineAhead);
+
       if (ptr_mode) {
         // Phase A: resolve every lane's entry, keeping the probe prefetch a
         // fixed distance ahead so the home slot's line is in flight while
         // earlier lanes probe.
         const std::size_t table_cap = page_table.capacity();
-        if (hint) {
-          for (std::size_t k = 0; k < m && k < kPipelineAhead; ++k) {
-            page_table.prefetch(ev_pages[i + k]);
+        for (std::size_t k = 0; k < lead; ++k) {
+          if (hint) page_table.prefetch(pages[k]);
+        }
+        for (std::size_t k = 0; k < m; ++k) {
+          if (hint && k + kPipelineAhead < m) {
+            page_table.prefetch(pages[k + kPipelineAhead]);
           }
-          for (std::size_t k = 0; k < m; ++k) {
-            if (k + kPipelineAhead < m) {
-              page_table.prefetch(ev_pages[i + k + kPipelineAhead]);
-            }
-            entries[k] = page_table.find_or_insert(ev_pages[i + k]);
-          }
-        } else {
-          for (std::size_t k = 0; k < m; ++k) {
-            entries[k] = page_table.find_or_insert(ev_pages[i + k]);
-          }
+          entries[k] = page_table.find_or_insert(pages[k]);
         }
         if (page_table.capacity() != table_cap) {
           // An insert rehashed the table mid-batch; re-resolve every lane
           // (find never mutates, so these pointers are final).
           for (std::size_t k = 0; k < m; ++k) {
-            entries[k] = page_table.find(ev_pages[i + k]);
+            entries[k] = page_table.find(pages[k]);
           }
         }
         // Phase B: the lockstep walk. Event k's work overlaps the line
         // fetches for event k+kPipelineAhead — its counter-tree leaf/node,
         // the predicted append slot (kPipelineAhead appends from now), and,
         // for resident pages, the LRU list node.
-        if (hint) {
-          for (std::size_t k = 0; k < m && k < kPipelineAhead; ++k) {
-            tracker->prefetch_access(*entries[k], k);
-            if (entries[k]->frame != cache::kNoFrame) {
-              lru->prefetch_frame(entries[k]->frame);
-            }
-          }
-          for (std::size_t k = 0; k < m; ++k) {
-            if (k + kPipelineAhead < m) {
-              cache::PageEntry* ahead = entries[k + kPipelineAhead];
-              tracker->prefetch_access(*ahead, kPipelineAhead);
-              if (ahead->frame != cache::kNoFrame) {
-                lru->prefetch_frame(ahead->frame);
-              }
-            }
-            apply_access(ev_times[i + k], ev_pages[i + k],
-                         (ev_flags[i + k] & workload::kTraceFlagWrite) != 0,
-                         entries[k], telem_on);
-          }
-        } else {
-          for (std::size_t k = 0; k < m; ++k) {
-            apply_access(ev_times[i + k], ev_pages[i + k],
-                         (ev_flags[i + k] & workload::kTraceFlagWrite) != 0,
-                         entries[k], telem_on);
-          }
-        }
-      } else {
-        for (std::size_t k = 0; k < m && k < kPipelineAhead; ++k) {
-          if (hint) page_table.prefetch(ev_pages[i + k]);
+        for (std::size_t k = 0; k < lead; ++k) {
+          if (hint) prefetch_lane(entries[k], k);
         }
         for (std::size_t k = 0; k < m; ++k) {
           if (hint && k + kPipelineAhead < m) {
-            page_table.prefetch(ev_pages[i + k + kPipelineAhead]);
+            prefetch_lane(entries[k + kPipelineAhead], kPipelineAhead);
           }
-          const std::uint64_t page = ev_pages[i + k];
-          apply_access(ev_times[i + k], page,
-                       (ev_flags[i + k] & workload::kTraceFlagWrite) != 0,
-                       page_table.find_or_insert(page), telem_on);
+          apply_access(times[k], pages[k],
+                       (flags[k] & workload::kTraceFlagWrite) != 0,
+                       entries[k], telem_on);
+        }
+      } else {
+        for (std::size_t k = 0; k < lead; ++k) {
+          if (hint) page_table.prefetch(pages[k]);
+        }
+        for (std::size_t k = 0; k < m; ++k) {
+          if (hint && k + kPipelineAhead < m) {
+            page_table.prefetch(pages[k + kPipelineAhead]);
+          }
+          apply_access(times[k], pages[k],
+                       (flags[k] & workload::kTraceFlagWrite) != 0,
+                       page_table.find_or_insert(pages[k]), telem_on);
         }
       }
       i = end;
@@ -864,7 +816,7 @@ struct Engine::Impl {
   }
 
   // Binds telemetry and emits the run_begin marker. Idempotent: run() does
-  // it up front; push-mode engines do it lazily at the first push.
+  // it up front; push-mode engines do it lazily at the first call.
   void begin_once() {
     if (started) return;
     started = true;
@@ -892,15 +844,7 @@ struct Engine::Impl {
     JPM_CHECK_MSG(!live, "live engines end with finish(), not run()");
     ran = true;
     begin_once();
-
-    if (generator) {
-      while (auto event = generator->next()) {
-        step_event(event->time_s, event->page, event->is_write);
-      }
-    } else {
-      feed(ev_times, ev_pages, ev_flags, event_count);
-    }
-
+    feed(ev_times, ev_pages, ev_flags, event_count);
     return finish_run(duration_s);
   }
 
@@ -973,13 +917,6 @@ struct Engine::Impl {
 
   // ---- push-mode interface (live sources; see jpm::stream) ----------------
 
-  void push(double t, std::uint64_t page, std::uint8_t flags) {
-    JPM_CHECK_MSG(live, "push-mode requires a LiveSource engine");
-    JPM_CHECK_MSG(!finished, "push after finish");
-    begin_once();
-    step_event(t, page, (flags & workload::kTraceFlagWrite) != 0);
-  }
-
   void push_chunk(const double* times, const std::uint64_t* pages,
                   const std::uint8_t* flags, std::size_t n) {
     JPM_CHECK_MSG(live, "push-mode requires a LiveSource engine");
@@ -1008,12 +945,6 @@ struct Engine::Impl {
   }
 };
 
-Engine::Engine(const workload::SynthesizerConfig& workload,
-               const PolicySpec& policy, const EngineConfig& config)
-    : impl_(std::make_unique<Impl>(workload, policy, config)) {}
-Engine::Engine(ReplayTrace trace, const PolicySpec& policy,
-               const EngineConfig& config)
-    : impl_(std::make_unique<Impl>(std::move(trace), policy, config)) {}
 Engine::Engine(const workload::Trace& trace, const PolicySpec& policy,
                const EngineConfig& config)
     : impl_(std::make_unique<Impl>(trace, policy, config)) {}
@@ -1026,9 +957,6 @@ Engine& Engine::operator=(Engine&&) noexcept = default;
 
 RunMetrics Engine::run() { return impl_->run(); }
 
-void Engine::push(double t, std::uint64_t page, std::uint8_t flags) {
-  impl_->push(t, page, flags);
-}
 void Engine::push_chunk(const double* times, const std::uint64_t* pages,
                         const std::uint8_t* flags, std::size_t n) {
   impl_->push_chunk(times, pages, flags, n);
@@ -1045,18 +973,35 @@ RunMetrics Engine::finish(double end_s) { return impl_->finish(end_s); }
 RunMetrics run_simulation(const workload::SynthesizerConfig& workload,
                           const PolicySpec& policy,
                           const EngineConfig& config) {
-  return Engine(workload, policy, config).run();
+  workload::TraceGenerator generator(workload);
+  // Same derived fields as workload::synthesize_trace.
+  LiveSource source;
+  source.page_bytes = workload.page_bytes;
+  source.total_pages = generator.total_pages();
+  source.duration_hint_s = workload.duration_s;
+  Engine engine(source, policy, config);
+  // Bounded windows keep memory flat for any duration.
+  constexpr std::size_t kWindow = 4096;
+  workload::Trace window;
+  window.reserve(kWindow);
+  std::optional<workload::TraceEvent> event = generator.next();
+  while (event) {
+    window.times.clear();
+    window.pages.clear();
+    window.flags.clear();
+    for (; event && window.size() < kWindow; event = generator.next()) {
+      window.push_back(*event);
+    }
+    engine.push_chunk(window.times.data(), window.pages.data(),
+                      window.flags.data(), window.size());
+  }
+  return engine.finish(workload.duration_s);
 }
 
 RunMetrics run_simulation(const workload::Trace& trace,
                           const PolicySpec& policy,
                           const EngineConfig& config) {
   return Engine(trace, policy, config).run();
-}
-
-RunMetrics replay_simulation(ReplayTrace trace, const PolicySpec& policy,
-                             const EngineConfig& config) {
-  return Engine(std::move(trace), policy, config).run();
 }
 
 }  // namespace jpm::sim

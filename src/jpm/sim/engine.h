@@ -42,34 +42,16 @@ struct EngineConfig {
   // the same disk operation (Papathanasiou & Scott's energy-aware
   // prefetching direction). 0 disables.
   std::uint32_t readahead_pages = 0;
-  // Replay batching: events are pulled from the trace in runs of up to this
-  // many that provably cross no period boundary, flush tick, or warm-up
-  // edge, letting the hot loop resolve page-table probes for the whole run
-  // with software prefetch before applying them. Purely a throughput knob:
-  // results are bit-identical for every value (1 = the classic per-event
-  // loop). Range 1..65536; generator-driven runs ignore it.
-  std::uint32_t batch_size = 1;
   // Fault injection (see fault/fault.h). Disabled by default; a disabled
   // plan leaves the run bit-identical to a config without one. Per-run
   // reliability counters surface in RunMetrics::reliability.
   fault::FaultPlan fault;
 };
 
-// A captured or saved trace to replay instead of synthesizing one (see
-// workload/trace_io.h for persistence).
-struct ReplayTrace {
-  std::vector<workload::TraceEvent> events;  // time-sorted
-  std::uint64_t page_bytes = 256 * kKiB;
-  // Pages in the underlying data set; 0 derives max(page) + 1.
-  std::uint64_t total_pages = 0;
-  // Simulated duration; 0 derives the last event's timestamp.
-  double duration_s = 0.0;
-};
-
 // Geometry of a live (push-mode) event source: the jpm::stream daemon feeds
-// events through Engine::push / push_chunk instead of a materialized trace,
-// so the data-set size must be declared up front (prefill, readahead bounds)
-// and the run's end arrives with Engine::finish.
+// events through Engine::push_chunk instead of a materialized trace, so the
+// data-set size must be declared up front (prefill, readahead bounds) and
+// the run's end arrives with Engine::finish.
 struct LiveSource {
   std::uint64_t page_bytes = 256 * kKiB;
   std::uint64_t total_pages = 0;  // data-set size in pages (required)
@@ -78,20 +60,22 @@ struct LiveSource {
   double duration_hint_s = 0.0;
 };
 
+// Every event reaches the simulation core through one batched path. Events
+// are applied in runs of up to 64 that provably cross no timer edge (period
+// boundary, flush tick, warm-up snapshot, or bank disable); the run's
+// page-table probes and tracker/LRU lines are prefetched a few events ahead
+// of the walk. An event that lands on a timer edge fires the due timers
+// first and is applied alone. Results do not depend on how the event stream
+// is split into run()/push_chunk() calls.
 class Engine {
  public:
-  Engine(const workload::SynthesizerConfig& workload, const PolicySpec& policy,
-         const EngineConfig& config);
-  Engine(ReplayTrace trace, const PolicySpec& policy,
-         const EngineConfig& config);
   // Replays a shared immutable trace without copying it; the trace must
   // outlive the engine. Any number of engines may replay the same Trace
-  // concurrently. Metrics are bit-identical to the synthesizing constructor
-  // when the trace came from workload::synthesize_trace of the same config.
+  // concurrently.
   Engine(const workload::Trace& trace, const PolicySpec& policy,
          const EngineConfig& config);
   // Push-mode engine for a live source: no trace, events arrive through
-  // push()/push_chunk() and the run ends with finish().
+  // push_chunk() and the run ends with finish().
   Engine(const LiveSource& source, const PolicySpec& policy,
          const EngineConfig& config);
   ~Engine();
@@ -102,16 +86,13 @@ class Engine {
   RunMetrics run();
 
   // ---- push-mode interface (live sources; see jpm::stream) ----------------
-  // Events must arrive with nondecreasing timestamps; `flags` uses the
-  // workload trace flag bits. Exclusive with run(): a trace-backed engine
-  // uses run(), a LiveSource engine uses push*/advance_to/finish. The replay
-  // path is a thin client of the same core (run() == push the whole trace,
-  // then finish at the declared duration), so metrics are bit-identical
-  // between a replay and a stream of the same events.
-  void push(double t, std::uint64_t page, std::uint8_t flags);
-  // Batched push over SoA lanes: same hot path as the batched replay
-  // (software prefetch across the chunk). Results are bit-identical to
-  // per-event push for every chunking.
+  // Events arrive as SoA lanes with nondecreasing timestamps; `flags` uses
+  // the workload trace flag bits. Exclusive with run(): a trace-backed engine
+  // uses run(), a LiveSource engine uses push_chunk/advance_to/finish. The
+  // replay path is a thin client of the same core (run() == push the whole
+  // trace, then finish at the declared duration), so metrics are
+  // bit-identical between a replay and a stream of the same events, for
+  // every chunking.
   void push_chunk(const double* times, const std::uint64_t* pages,
                   const std::uint8_t* flags, std::size_t n);
   // Advances timers (period boundaries, flush ticks, warm-up snapshot, bank
@@ -135,12 +116,13 @@ class Engine {
   std::unique_ptr<Impl> impl_;
 };
 
-// Convenience wrappers: construct + run.
+// Convenience wrappers: construct + run. The workload form streams the
+// generator through push_chunk in bounded windows (flat memory for any
+// duration); its metrics are bit-identical to replaying
+// workload::synthesize_trace of the same config.
 RunMetrics run_simulation(const workload::SynthesizerConfig& workload,
                           const PolicySpec& policy, const EngineConfig& config);
 RunMetrics run_simulation(const workload::Trace& trace,
                           const PolicySpec& policy, const EngineConfig& config);
-RunMetrics replay_simulation(ReplayTrace trace, const PolicySpec& policy,
-                             const EngineConfig& config);
 
 }  // namespace jpm::sim

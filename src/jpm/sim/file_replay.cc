@@ -36,7 +36,7 @@ void FileReplay::push_chunk(std::size_t i) {
 
 RunMetrics FileReplay::finish_stream() {
   begin_stream();
-  // Same end-of-run rule as ReplayTrace: the declared duration, or the last
+  // Same end-of-run rule as a Trace replay: the declared duration, or the last
   // event's timestamp when the header carries none.
   double end_s = reader_.header().duration_s;
   if (end_s <= 0.0 && !reader_.chunks().empty()) {

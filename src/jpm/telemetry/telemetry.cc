@@ -67,6 +67,7 @@ struct ThreadState {
   std::uint64_t epoch = 0;
   std::uint32_t tid = 0;
   RunRecorder* run = nullptr;
+  bool events_only = false;  // `run` takes events but is not current_run()
   // Ring buffer: `ring` has session ring_capacity slots once first used;
   // `head` is the next write slot, `size` the live count, `dropped` the
   // overwritten-prefix length since the last flush.
@@ -92,6 +93,7 @@ ThreadState* state_for(SessionState* s) {
   if (ts.epoch != s->epoch) {
     ts.epoch = s->epoch;
     ts.run = nullptr;
+    ts.events_only = false;
     ts.reset_ring();
     if (ts.ring.size() != s->options.ring_capacity) {
       ts.ring.assign(s->options.ring_capacity, Event{});
@@ -243,16 +245,18 @@ RunRecorder* current_run() {
   SessionState* s = g_session;
   if (s == nullptr) return nullptr;
   ThreadState* ts = state_for(s);
-  return ts->run;
+  return ts->events_only ? nullptr : ts->run;
 }
 
-ScopedRun::ScopedRun(RunRecorder* run) : prev_(nullptr) {
+ScopedRun::ScopedRun(RunRecorder* run, bool events_only) : prev_(nullptr) {
   SessionState* s = g_session;
   if (s == nullptr) return;
   ThreadState* ts = state_for(s);
   flush_ring(s, ts);
   prev_ = ts->run;
+  prev_events_only_ = ts->events_only;
   ts->run = run;
+  ts->events_only = events_only;
 }
 
 ScopedRun::~ScopedRun() {
@@ -261,6 +265,7 @@ ScopedRun::~ScopedRun() {
   ThreadState* ts = state_for(s);
   flush_ring(s, ts);
   ts->run = prev_;
+  ts->events_only = prev_events_only_;
 }
 
 void emit(Category c, const char* name, double sim_time_s,

@@ -152,21 +152,26 @@ const Options& session_options();  // JPM_CHECK(session_active())
 RunRecorder* begin_run(std::string name);
 
 // The recorder events on this thread currently flow into (nullptr when the
-// thread is outside every ScopedRun or telemetry is off).
+// thread is outside every ScopedRun, inside an events-only one, or
+// telemetry is off).
 RunRecorder* current_run();
 
 // Binds a recorder to the current thread for the scope's lifetime. Nesting
 // is allowed (the previous binding is restored); the ring is flushed into
 // the outgoing recorder at every transition, preserving per-stream order.
+// An `events_only` binding takes the thread's events but hides the recorder
+// from current_run(), so code inside the scope records no metrics or table
+// rows into it (cluster servers sharing their sweep job's stream).
 class ScopedRun {
  public:
-  explicit ScopedRun(RunRecorder* run);
+  explicit ScopedRun(RunRecorder* run, bool events_only = false);
   ~ScopedRun();
   ScopedRun(const ScopedRun&) = delete;
   ScopedRun& operator=(const ScopedRun&) = delete;
 
  private:
   RunRecorder* prev_;
+  bool prev_events_only_ = false;
 };
 
 // Emits one event (the macro's backend; callable directly when the category

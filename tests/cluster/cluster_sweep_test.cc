@@ -12,6 +12,9 @@
 #include <vector>
 
 #include "jpm/cluster/cluster.h"
+#include "jpm/telemetry/export.h"
+#include "jpm/telemetry/telemetry.h"
+#include "jpm/util/json.h"
 
 namespace jpm::cluster {
 namespace {
@@ -256,6 +259,60 @@ TEST(ClusterSweepDeterminismTest, ProgressLinesArriveInJobOrder) {
   EXPECT_EQ(lines[1].rfind("[dense] ", 0), 0u) << lines[1];
   EXPECT_EQ(lines[2].rfind("[sparse] Joint", 0), 0u) << lines[2];
   EXPECT_EQ(lines[3].rfind("[sparse] ", 0), 0u) << lines[3];
+}
+
+// The sweep's telemetry report under a fresh session.
+std::string sweep_report(const char* threads,
+                         const std::vector<sim::SweepWorkload>& workloads) {
+  ScopedEnv t("JPM_THREADS", threads);
+  telemetry::start();
+  run_cluster_sweep(faulted_cluster(), workloads, sweep_roster());
+  std::string report = telemetry::report_json();
+  telemetry::stop();
+  return report;
+}
+
+TEST(ClusterSweepTelemetryTest, ServerEventsJoinTheirJobStreamOnly) {
+  // One point runs its two jobs across threads, servers inline; one point
+  // of one job would run inline and fan its servers out instead. Both must
+  // give one report at any thread count, with the servers' events in their
+  // job's stream and no server metrics or period rows mixed into it.
+  const auto all = straggler_workloads();
+  for (const auto& workloads :
+       {all, std::vector<sim::SweepWorkload>{all[0]}}) {
+    SCOPED_TRACE(std::to_string(workloads.size()) + " point(s)");
+    const std::string serial = sweep_report("1", workloads);
+    EXPECT_EQ(sweep_report("4", workloads), serial);
+
+    util::json::Value report;
+    std::string error;
+    ASSERT_TRUE(util::json::parse(serial, &report, &error)) << error;
+    for (const auto& ev :
+         report.as_object().find("orphan_events")->as_array()) {
+      const std::string& name = ev.as_object().find("name")->as_string();
+      EXPECT_TRUE(name == "cluster_sweep_begin" || name == "cluster_sweep_end")
+          << name;
+    }
+    const auto& runs = report.as_object().find("runs")->as_array();
+    ASSERT_EQ(runs.size(), workloads.size() * sweep_roster().size());
+    for (const auto& run_value : runs) {
+      const auto& run = run_value.as_object();
+      SCOPED_TRACE(run.find("name")->as_string());
+      EXPECT_EQ(run.find("counters")->as_object().size(), 0u);
+      EXPECT_EQ(run.find("histograms")->as_object().size(), 0u);
+      EXPECT_EQ(run.find("tables")->as_object().size(), 0u);
+      for (const auto& gauge : run.find("gauges")->as_object().entries()) {
+        EXPECT_EQ(gauge.first.rfind("axis/", 0), 0u) << gauge.first;
+      }
+      // Everything but the job's own closing marker came from a server.
+      std::size_t server_events = 0;
+      for (const auto& ev : run.find("events")->as_array()) {
+        server_events +=
+            ev.as_object().find("name")->as_string() != "cluster_done";
+      }
+      EXPECT_GT(server_events, 0u);
+    }
+  }
 }
 
 }  // namespace

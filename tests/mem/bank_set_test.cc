@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "jpm/util/check.h"
 
 namespace jpm::mem {
@@ -119,6 +121,80 @@ TEST(BankSetTest, LazyIntegrationMatchesEagerFinalize) {
 TEST(BankSetTest, NoDisablesFromNonDisablePolicies) {
   BankSet banks(2, test_params(), BankPolicy::kPowerDown);
   EXPECT_TRUE(banks.take_due_disables(1e9).empty());
+}
+
+TEST(BankSetTest, DisablesFireInLastTouchOrder) {
+  auto p = test_params();
+  p.disable_timeout_s = 10.0;
+  BankSet banks(4, p, BankPolicy::kDisable);
+  EXPECT_EQ(banks.next_disable_s(0.0), 10.0);  // every bank armed at start
+  banks.touch(2, 1.0);
+  banks.touch(0, 2.0);
+  banks.touch(3, 3.0);
+  banks.touch(1, 4.0);
+  EXPECT_EQ(banks.next_disable_s(4.0), 11.0);
+  banks.touch(2, 5.0);  // re-touch moves bank 2 to the back
+  EXPECT_EQ(banks.next_disable_s(5.0), 12.0);
+  const auto fired = banks.take_due_disables(100.0);
+  ASSERT_EQ(fired.size(), 4u);
+  const std::uint32_t order[] = {0, 3, 1, 2};
+  const double times[] = {12.0, 13.0, 14.0, 15.0};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(fired[i].bank, order[i]);
+    EXPECT_EQ(fired[i].time_s, times[i]);
+  }
+  // Every bank fired: nothing is armed, and a touch at or after t expires
+  // no sooner than t + timeout.
+  EXPECT_EQ(banks.next_disable_s(100.0), 110.0);
+  EXPECT_EQ(banks.next_disable_s(250.0), 260.0);
+  banks.touch(1, 103.0);
+  EXPECT_EQ(banks.next_disable_s(104.0), 113.0);
+}
+
+TEST(BankSetTest, EqualTimeTouchesDisableInTouchOrder) {
+  auto p = test_params();
+  p.disable_timeout_s = 10.0;
+  BankSet banks(5, p, BankPolicy::kDisable);
+  for (std::uint32_t b : {3u, 1u, 4u, 0u, 2u}) banks.touch(b, 7.0);
+  const auto early = banks.take_due_disables(16.9);
+  EXPECT_TRUE(early.empty());
+  const auto fired = banks.take_due_disables(17.0);  // <= fires
+  ASSERT_EQ(fired.size(), 5u);
+  const std::uint32_t order[] = {3, 1, 4, 0, 2};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(fired[i].bank, order[i]);
+    EXPECT_EQ(fired[i].time_s, 17.0);
+  }
+}
+
+TEST(BankSetTest, ReenabledBankRearmsBehindArmedBanks) {
+  auto p = test_params();
+  p.disable_timeout_s = 10.0;
+  BankSet banks(2, p, BankPolicy::kDisable);
+  banks.touch(1, 5.0);
+  ASSERT_EQ(banks.take_due_disables(10.0).size(), 1u);  // bank 0 at 10
+  ASSERT_TRUE(banks.is_disabled(0));
+  banks.touch(0, 12.0);  // re-enable: armed again, behind bank 1
+  EXPECT_FALSE(banks.is_disabled(0));
+  EXPECT_EQ(banks.next_disable_s(12.0), 15.0);
+  const auto fired = banks.take_due_disables(30.0);
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_EQ(fired[0].bank, 1u);
+  EXPECT_EQ(fired[0].time_s, 15.0);
+  EXPECT_EQ(fired[1].bank, 0u);
+  EXPECT_EQ(fired[1].time_s, 22.0);
+  EXPECT_EQ(banks.disable_count(), 3u);
+}
+
+TEST(BankSetTest, NextDisableIsInfiniteForPowerDownAndNap) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const BankPolicy policy :
+       {BankPolicy::kPowerDown, BankPolicy::kNapOnly}) {
+    BankSet banks(3, test_params(), policy);
+    EXPECT_EQ(banks.next_disable_s(0.0), inf);
+    banks.touch(1, 5.0);
+    EXPECT_EQ(banks.next_disable_s(5.0), inf);
+  }
 }
 
 TEST(BankSetTest, RejectsOutOfRangeBank) {

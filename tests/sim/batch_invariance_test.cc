@@ -1,16 +1,22 @@
-// The replay batch size (EngineConfig::batch_size) is a pure throughput
-// knob: every batch size must produce bit-identical RunMetrics to the
-// classic per-event loop (batch 1), across every policy family, with
-// writes and flushes, with readahead (the re-probing batch mode), on
-// multi-disk arrays, and independent of JPM_THREADS.
+// Chunking invariance of the engine's one batched event path: however the
+// event stream is split into run()/push_chunk() calls, RunMetrics must be
+// bit-identical to a reference that pushes one event per call (so every
+// batch is a single event and every timer edge is checked per event). The
+// batch walk, its prefetch lanes, and the timer-edge limit (period
+// boundaries, flush ticks, warm-up, bank disables) may never move a result.
+// Covered: every policy family including the per-bank PD/DS timers (also a
+// DS timeout below the period across idle gaps), writes and flushes,
+// readahead (the re-probing mode), multi-disk arrays, and JPM_THREADS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "jpm/sim/runner.h"
+#include "jpm/workload/trace.h"
 
 namespace jpm::sim {
 namespace {
@@ -28,14 +34,13 @@ workload::SynthesizerConfig batch_workload(std::uint64_t seed) {
   return w;
 }
 
-EngineConfig batch_engine(std::uint32_t batch) {
+EngineConfig batch_engine() {
   EngineConfig e;
   e.joint.physical_bytes = gib(1);
   e.joint.unit_bytes = 16 * kMiB;
   e.joint.page_bytes = 64 * kKiB;
   e.joint.period_s = 300.0;
   e.warm_up_s = 300.0;
-  e.batch_size = batch;
   return e;
 }
 
@@ -46,6 +51,27 @@ std::vector<PolicySpec> six_policy_roster() {
           powerdown_policy(DiskPolicyKind::kTwoCompetitive, gib(1)),
           disable_policy(DiskPolicyKind::kAdaptive, gib(1)),
           always_on_policy()};
+}
+
+// Replays `trace` through a LiveSource engine in push_chunk calls of
+// `chunk` events, ending at the trace's declared duration like run(). With
+// `advance_first`, each call is preceded by advance_to(its first event's
+// time), which fires exactly the timers that event would fire anyway.
+RunMetrics push_in_chunks(const workload::Trace& trace,
+                          const PolicySpec& policy, const EngineConfig& config,
+                          std::size_t chunk, bool advance_first = false) {
+  LiveSource source;
+  source.page_bytes = trace.page_bytes;
+  source.total_pages = trace.total_pages;
+  source.duration_hint_s = trace.duration_s;
+  Engine engine(source, policy, config);
+  for (std::size_t i = 0; i < trace.size(); i += chunk) {
+    const std::size_t n = std::min(chunk, trace.size() - i);
+    if (advance_first) engine.advance_to(trace.times[i]);
+    engine.push_chunk(trace.times.data() + i, trace.pages.data() + i,
+                      trace.flags.data() + i, n);
+  }
+  return engine.finish(trace.duration_s);
 }
 
 void expect_bit_identical(const RunMetrics& a, const RunMetrics& b) {
@@ -81,21 +107,31 @@ void expect_bit_identical(const RunMetrics& a, const RunMetrics& b) {
   }
 }
 
-// Batch sizes straddling the interesting edges: the classic loop, a batch
-// that never divides the event count evenly, the default, and one larger
-// than most boundary-to-boundary runs.
-const std::uint32_t kBatches[] = {1, 7, 64, 256};
+// Chunk sizes straddling the interesting edges: one that never divides the
+// event count evenly, exactly one engine batch, and many batches per call.
+const std::size_t kChunks[] = {7, 64, 4096};
+
+// Checks run() and every push_chunk split against the one-event reference.
+void expect_chunking_invariant(const workload::Trace& trace,
+                               const PolicySpec& policy,
+                               const EngineConfig& config) {
+  const auto reference = push_in_chunks(trace, policy, config, 1);
+  {
+    SCOPED_TRACE("run()");
+    expect_bit_identical(reference, run_simulation(trace, policy, config));
+  }
+  for (std::size_t chunk : kChunks) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    expect_bit_identical(reference,
+                         push_in_chunks(trace, policy, config, chunk));
+  }
+}
 
 TEST(BatchInvarianceTest, SixPoliciesBitIdenticalAcrossBatchSizes) {
   const auto trace = workload::synthesize_trace(batch_workload(7));
   for (const auto& policy : six_policy_roster()) {
     SCOPED_TRACE(policy.name);
-    const auto reference = run_simulation(trace, policy, batch_engine(1));
-    for (std::uint32_t batch : kBatches) {
-      SCOPED_TRACE("batch " + std::to_string(batch));
-      expect_bit_identical(reference,
-                           run_simulation(trace, policy, batch_engine(batch)));
-    }
+    expect_chunking_invariant(trace, policy, batch_engine());
   }
 }
 
@@ -103,43 +139,65 @@ TEST(BatchInvarianceTest, ReadaheadReprobingModeIsBatchInvariant) {
   // readahead > 0 evicts without a live tracker slot, so batches re-probe
   // per event instead of caching entry pointers — still bit-identical.
   const auto trace = workload::synthesize_trace(batch_workload(11));
-  const auto policy = fixed_policy(DiskPolicyKind::kTwoCompetitive, mib(64));
-  auto reference_engine = batch_engine(1);
-  reference_engine.readahead_pages = 2;
-  const auto reference = run_simulation(trace, policy, reference_engine);
-  for (std::uint32_t batch : kBatches) {
-    SCOPED_TRACE("batch " + std::to_string(batch));
-    auto engine = batch_engine(batch);
-    engine.readahead_pages = 2;
-    expect_bit_identical(reference, run_simulation(trace, policy, engine));
-  }
+  auto engine = batch_engine();
+  engine.readahead_pages = 2;
+  expect_chunking_invariant(
+      trace, fixed_policy(DiskPolicyKind::kTwoCompetitive, mib(64)), engine);
 }
 
 TEST(BatchInvarianceTest, MultiDiskArrayIsBatchInvariant) {
   const auto trace = workload::synthesize_trace(batch_workload(13));
-  auto reference_engine = batch_engine(1);
-  reference_engine.disk_count = 4;
-  const auto reference =
-      run_simulation(trace, joint_policy(), reference_engine);
-  for (std::uint32_t batch : kBatches) {
-    SCOPED_TRACE("batch " + std::to_string(batch));
-    auto engine = batch_engine(batch);
-    engine.disk_count = 4;
+  auto engine = batch_engine();
+  engine.disk_count = 4;
+  expect_chunking_invariant(trace, joint_policy(), engine);
+}
+
+TEST(BatchInvarianceTest, DisableTimeoutBelowPeriodAfterIdleGaps) {
+  // DS with a disable timeout far below the period, on a sparse trace whose
+  // idle gaps outlast the timeout. advance_to() across such a gap disables
+  // every bank, so the next batch starts with none armed; a bank touched
+  // inside it must still stop the batch at that bank's own expiry.
+  std::vector<workload::TraceEvent> events;
+  std::uint64_t state = 12345;
+  const double gaps[] = {0.5, 2.0, 8.0, 1.0, 3.0, 6.5};
+  double t = 1.0;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    events.push_back({t, (state >> 33) % 256, true, false});
+    t += gaps[i % 6];
+  }
+  const auto trace =
+      workload::trace_from_events(events, 64 * kKiB, 2048, t + 10.0);
+  auto engine = batch_engine();
+  engine.joint.mem.disable_timeout_s = 5.0;
+  engine.flush_interval_s = 0.0;
+  const auto policy = disable_policy(DiskPolicyKind::kTwoCompetitive, gib(1));
+  const auto reference = push_in_chunks(trace, policy, engine, 1, true);
+  expect_chunking_invariant(trace, policy, engine);
+  for (std::size_t chunk : kChunks) {
+    SCOPED_TRACE("advance_to + chunk " + std::to_string(chunk));
     expect_bit_identical(reference,
-                         run_simulation(trace, joint_policy(), engine));
+                         push_in_chunks(trace, policy, engine, chunk, true));
   }
 }
 
 TEST(BatchInvarianceTest, ThreadCountDoesNotInteractWithBatching) {
+  const auto workload = batch_workload(7);
   const auto points = std::vector<
       std::pair<std::string, workload::SynthesizerConfig>>{
-      {"128MB", batch_workload(7)}};
-  auto sweep_at = [&](const char* threads, std::uint32_t batch) {
+      {"128MB", workload}};
+  const auto trace = workload::synthesize_trace(workload);
+  const auto roster = six_policy_roster();
+  std::vector<RunMetrics> references;
+  for (const auto& policy : roster) {
+    references.push_back(push_in_chunks(trace, policy, batch_engine(), 1));
+  }
+  auto sweep_at = [&](const char* threads) {
     const char* old = std::getenv("JPM_THREADS");
     const std::string saved = old ? old : "";
     const bool had_old = old != nullptr;
     ::setenv("JPM_THREADS", threads, 1);
-    auto out = run_sweep(points, six_policy_roster(), batch_engine(batch));
+    auto out = run_sweep(points, roster, batch_engine());
     if (had_old) {
       ::setenv("JPM_THREADS", saved.c_str(), 1);
     } else {
@@ -147,29 +205,19 @@ TEST(BatchInvarianceTest, ThreadCountDoesNotInteractWithBatching) {
     }
     return out;
   };
-  const auto serial_classic = sweep_at("1", 1);
   for (const auto* threads : {"1", "8"}) {
-    const auto batched = sweep_at(threads, 256);
-    ASSERT_EQ(serial_classic.size(), batched.size());
-    for (std::size_t i = 0; i < serial_classic.size(); ++i) {
-      SCOPED_TRACE(std::string("threads ") + threads);
-      expect_bit_identical(serial_classic[i].baseline, batched[i].baseline);
-      ASSERT_EQ(serial_classic[i].outcomes.size(), batched[i].outcomes.size());
-      for (std::size_t j = 0; j < serial_classic[i].outcomes.size(); ++j) {
-        expect_bit_identical(serial_classic[i].outcomes[j].metrics,
-                             batched[i].outcomes[j].metrics);
+    SCOPED_TRACE(std::string("threads ") + threads);
+    const auto sweep = sweep_at(threads);
+    ASSERT_EQ(sweep.size(), 1u);
+    ASSERT_EQ(sweep[0].outcomes.size(), roster.size());
+    for (std::size_t j = 0; j < roster.size(); ++j) {
+      SCOPED_TRACE(roster[j].name);
+      expect_bit_identical(references[j], sweep[0].outcomes[j].metrics);
+      if (roster[j].name == always_on_policy().name) {
+        expect_bit_identical(references[j], sweep[0].baseline);
       }
     }
   }
-}
-
-TEST(BatchInvarianceTest, BatchSizeIsValidated) {
-  const auto w = batch_workload(7);
-  EXPECT_THROW(run_simulation(w, always_on_policy(), batch_engine(0)),
-               std::invalid_argument);
-  EXPECT_THROW(run_simulation(w, always_on_policy(), batch_engine(65537)),
-               std::invalid_argument);
-  EXPECT_NO_THROW(run_simulation(w, always_on_policy(), batch_engine(65536)));
 }
 
 }  // namespace

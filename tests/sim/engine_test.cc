@@ -191,7 +191,8 @@ TEST(EngineTest, PeriodRecordsCoverRun) {
 }
 
 TEST(EngineTest, RunIsSingleShot) {
-  Engine engine(small_workload(), fm(mib(128)), small_engine());
+  const auto trace = workload::synthesize_trace(small_workload());
+  Engine engine(trace, fm(mib(128)), small_engine());
   engine.run();
   EXPECT_THROW(engine.run(), CheckError);
 }
@@ -340,35 +341,30 @@ TEST(EngineTest, ReplayMatchesSynthesizedRun) {
   const auto direct = run_simulation(w, fm(mib(128)), e);
 
   workload::TraceGenerator gen(w);
-  ReplayTrace trace;
-  trace.page_bytes = w.page_bytes;
-  trace.total_pages = gen.total_pages();
-  trace.duration_s = w.duration_s;
-  while (auto ev = gen.next()) trace.events.push_back(*ev);
-  const auto replayed = replay_simulation(std::move(trace), fm(mib(128)), e);
+  std::vector<workload::TraceEvent> events;
+  while (auto ev = gen.next()) events.push_back(*ev);
+  const auto trace = workload::trace_from_events(
+      events, w.page_bytes, gen.total_pages(), w.duration_s);
+  const auto replayed = run_simulation(trace, fm(mib(128)), e);
 
   EXPECT_EQ(replayed.cache_accesses, direct.cache_accesses);
   EXPECT_EQ(replayed.disk_accesses, direct.disk_accesses);
-  EXPECT_DOUBLE_EQ(replayed.total_j(), direct.total_j());
-  EXPECT_DOUBLE_EQ(replayed.total_latency_s, direct.total_latency_s);
+  EXPECT_EQ(replayed.total_j(), direct.total_j());
+  EXPECT_EQ(replayed.total_latency_s, direct.total_latency_s);
 }
 
 TEST(EngineTest, ReplayRejectsBadTraces) {
   const auto e = small_engine();
-  ReplayTrace empty;
-  EXPECT_THROW(replay_simulation(std::move(empty), fm(mib(128)), e),
-               CheckError);
-
-  ReplayTrace unsorted;
-  unsorted.events = {{2.0, 1, true}, {1.0, 2, true}};
-  EXPECT_THROW(replay_simulation(std::move(unsorted), fm(mib(128)), e),
-               CheckError);
-
-  ReplayTrace overflow;
-  overflow.events = {{1.0, 100, true}};
-  overflow.total_pages = 50;  // page 100 out of range
-  EXPECT_THROW(replay_simulation(std::move(overflow), fm(mib(128)), e),
-               CheckError);
+  const auto replay = [&](const std::vector<workload::TraceEvent>& events,
+                          std::uint64_t total_pages) {
+    return run_simulation(
+        workload::trace_from_events(events, 256 * kKiB, total_pages, 0.0),
+        fm(mib(128)), e);
+  };
+  EXPECT_THROW(replay({}, 0), CheckError);
+  EXPECT_THROW(replay({{2.0, 1, true}, {1.0, 2, true}}, 0), CheckError);
+  // Page 100 is outside a 50-page data set.
+  EXPECT_THROW(replay({{1.0, 100, true}}, 50), CheckError);
 }
 
 TEST(RunnerTest, SweepNormalizesAgainstAlwaysOn) {

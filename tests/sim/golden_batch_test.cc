@@ -1,11 +1,13 @@
-// Scenario-level golden differential for the replay batch path: the stdout
+// Scenario-level golden differential for the batched event path: the stdout
 // tables and telemetry report of golden scenarios must be byte-identical
-// across every batch size (1 / 64 / 256), thread count (JPM_THREADS 1 / 8),
-// and scheduler (JPM_SCHED static / steal). Batch mode re-orders prefetches
-// and hoists counters but may never change a single reported byte; this is
-// the end-to-end check over the engine's batched resolve+descend loop and
-// the counter tree under it (see tests/sim/batch_invariance_test.cc for the
-// RunMetrics-level version across the full policy roster).
+// across thread count (JPM_THREADS 1 / 8) and scheduler (JPM_SCHED static /
+// steal). The batch walk re-orders prefetches and hoists counters but may
+// never change a single reported byte; this is the end-to-end check over
+// the engine's batched resolve+descend loop, the counter tree under it, the
+// per-bank timers in the batch limit (table5_bank), and the cluster sweep's
+// per-job telemetry streams (ext_cluster). See
+// tests/sim/batch_invariance_test.cc for the RunMetrics-level chunking
+// check across the full policy roster.
 #include <gtest/gtest.h>
 
 #ifdef JPM_SCENARIOS_DIR
@@ -19,27 +21,9 @@
 #include "jpm/spec/spec.h"
 #include "jpm/telemetry/export.h"
 #include "jpm/telemetry/telemetry.h"
-#include "jpm/util/json.h"
 
 namespace jpm::sim {
 namespace {
-
-// The report embeds the resolved scenario and its hash, and batch_size is
-// part of the scenario — so those two keys legitimately differ between
-// batch sizes. Everything else must match byte for byte.
-std::string strip_scenario(const std::string& report) {
-  using util::json::Object;
-  using util::json::Value;
-  Value v;
-  std::string error;
-  EXPECT_TRUE(util::json::parse(report, &v, &error)) << error;
-  Object stripped;
-  for (const auto& [key, value] : v.as_object().entries()) {
-    if (key == "scenario" || key == "scenario_hash") continue;
-    stripped[key] = value;
-  }
-  return util::json::dump(Value{std::move(stripped)}, 2);
-}
 
 class EnvVar {
  public:
@@ -88,15 +72,14 @@ ScenarioRun run_scenario_capture(const spec::Scenario& sc) {
 
 TEST(GoldenBatchTest, ScenariosAreByteIdenticalAcrossBatchThreadsAndSched) {
   const EnvVar fast("JPM_BENCH_FAST", "1");
-  const char* names[] = {"ablation_joint", "ext_writes", "ext_drpm"};
-  const std::uint32_t batches[] = {1, 64, 256};
+  const char* names[] = {"ablation_joint", "ext_writes", "ext_drpm",
+                         "table5_bank", "ext_cluster"};
   for (const char* name : names) {
     SCOPED_TRACE(name);
-    spec::Scenario sc = spec::load_for_run(std::string(JPM_SCENARIOS_DIR) +
-                                           "/" + name + ".json");
+    const spec::Scenario sc = spec::load_for_run(
+        std::string(JPM_SCENARIOS_DIR) + "/" + name + ".json");
 
-    // Baseline: classic per-event loop, serial, static scheduler.
-    sc.engine.batch_size = 1;
+    // Baseline: serial, static scheduler.
     ScenarioRun base;
     {
       const EnvVar serial("JPM_THREADS", "1");
@@ -105,30 +88,13 @@ TEST(GoldenBatchTest, ScenariosAreByteIdenticalAcrossBatchThreadsAndSched) {
     }
     ASSERT_FALSE(base.stdout_text.empty());
 
-    for (const std::uint32_t batch : batches) {
-      SCOPED_TRACE(testing::Message() << "batch=" << batch);
-      sc.engine.batch_size = batch;
-      {
-        const EnvVar serial("JPM_THREADS", "1");
-        const EnvVar sched("JPM_SCHED", "static");
-        const ScenarioRun got = run_scenario_capture(sc);
-        EXPECT_EQ(got.stdout_text, base.stdout_text);
-        EXPECT_EQ(strip_scenario(got.report), strip_scenario(base.report));
-      }
-      {
-        const EnvVar wide("JPM_THREADS", "8");
-        const EnvVar sched("JPM_SCHED", "static");
-        const ScenarioRun got = run_scenario_capture(sc);
-        EXPECT_EQ(got.stdout_text, base.stdout_text);
-        EXPECT_EQ(strip_scenario(got.report), strip_scenario(base.report));
-      }
-      {
-        const EnvVar wide("JPM_THREADS", "8");
-        const EnvVar sched("JPM_SCHED", "steal");
-        const ScenarioRun got = run_scenario_capture(sc);
-        EXPECT_EQ(got.stdout_text, base.stdout_text);
-        EXPECT_EQ(strip_scenario(got.report), strip_scenario(base.report));
-      }
+    for (const char* sched_name : {"static", "steal"}) {
+      SCOPED_TRACE(sched_name);
+      const EnvVar wide("JPM_THREADS", "8");
+      const EnvVar sched("JPM_SCHED", sched_name);
+      const ScenarioRun got = run_scenario_capture(sc);
+      EXPECT_EQ(got.stdout_text, base.stdout_text);
+      EXPECT_EQ(got.report, base.report);
     }
   }
 }

@@ -148,25 +148,6 @@ TEST(SpecRoundTripTest, OmittedKeysKeepDefaults) {
   EXPECT_EQ(e.joint.period_s, sim::EngineConfig{}.joint.period_s);
 }
 
-TEST(SpecRoundTripTest, BatchSizeOmittedAtDefaultRoundTripsOtherwise) {
-  // batch_size is a throughput knob with no effect on results, so the
-  // default stays out of serialized scenarios (keeping the canonical corpus
-  // and scenario hashes stable); a non-default value must round-trip.
-  EXPECT_EQ(dump2(to_json(sim::EngineConfig{})).find("batch_size"),
-            std::string::npos);
-
-  sim::EngineConfig e;
-  e.batch_size = 256;
-  const std::string once = dump2(to_json(e));
-  EXPECT_NE(once.find("\"batch_size\": 256"), std::string::npos);
-  expect_stable(e, engine_from_json);
-
-  const auto parsed = engine_from_json(parse(R"({"batch_size": 7})"), "$");
-  EXPECT_EQ(parsed.batch_size, 7u);
-  EXPECT_EQ(engine_from_json(parse("{}"), "$").batch_size,
-            sim::EngineConfig{}.batch_size);
-}
-
 TEST(SpecRoundTripTest, RosterPresetResolvesToPaperRoster) {
   const auto preset = roster_from_json(
       parse(R"({"preset": "paper", "fm_gib": [8, 128]})"), "$");

@@ -119,6 +119,33 @@ TEST(TelemetrySessionTest, ScopedRunNestsAndFlushesInOrder) {
   EXPECT_STREQ(inner->events()[0].name, "i1");
 }
 
+TEST(TelemetrySessionTest, EventsOnlyScopeTakesEventsButHidesRecorder) {
+  SessionGuard session;
+  RunRecorder* job = begin_run("job");
+  {
+    const ScopedRun outer(job);
+    TELEM_EVENT(kEngine, "before", 1.0, {"v", 1.0});
+    {
+      const ScopedRun shared(job, /*events_only=*/true);
+      EXPECT_EQ(current_run(), nullptr);  // no metrics or rows from here
+      TELEM_EVENT(kManager, "inside", 2.0, {"v", 2.0});
+    }
+    EXPECT_EQ(current_run(), job);
+    TELEM_EVENT(kEngine, "after", 3.0, {"v", 3.0});
+  }
+  ASSERT_EQ(job->events().size(), 3u);
+  EXPECT_STREQ(job->events()[0].name, "before");
+  EXPECT_STREQ(job->events()[1].name, "inside");
+  EXPECT_STREQ(job->events()[2].name, "after");
+
+  util::json::Value report;
+  std::string error;
+  ASSERT_TRUE(util::json::parse(report_json(), &report, &error)) << error;
+  const auto* orphans = report.as_object().find("orphan_events");
+  ASSERT_NE(orphans, nullptr);
+  EXPECT_TRUE(orphans->as_array().empty());
+}
+
 TEST(TelemetrySessionTest, RingKeepsTailAndCountsDrops) {
   SessionGuard session({.ring_capacity = 4});
   RunRecorder* rec = begin_run("small_ring");

@@ -1,4 +1,4 @@
-#include "jpm/util/fenwick.h"
+#include "fenwick.h"
 
 #include <gtest/gtest.h>
 
