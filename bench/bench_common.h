@@ -39,8 +39,6 @@
 
 namespace jpm::bench {
 
-inline bool fast_mode() { return spec::fast_mode(); }
-
 // Loads the harness's checked-in scenario (scenarios/<name>.json, or
 // $JPM_SCENARIO_DIR/<name>.json), validates it, applies the fast-mode
 // schedule when JPM_BENCH_FAST=1, and publishes it to telemetry provenance.
@@ -52,16 +50,13 @@ inline spec::Scenario load_scenario(const std::string& name) {
   return sc;
 }
 
-// One hour measured after a 20-minute warm-up (quarter scale in fast mode).
-inline double measured_duration_s() { return fast_mode() ? 900.0 : 3600.0; }
-inline double warm_up_s() { return fast_mode() ? 600.0 : 1200.0; }
-
 // One stderr line recording the knobs in effect, so saved bench logs say how
 // they were produced; stdout (the tables) stays byte-identical across knob
 // settings.
 inline void print_run_banner() {
   std::cerr << "jpm-bench: threads=" << util::default_thread_count()
-            << (fast_mode() ? ", fast mode (JPM_BENCH_FAST=1)" : "") << "\n";
+            << (spec::fast_mode() ? ", fast mode (JPM_BENCH_FAST=1)" : "")
+            << "\n";
 }
 
 // Harness entry point: prints the banner and, when --telemetry=<base> or
@@ -97,54 +92,6 @@ inline void init(int argc, char** argv) {
     }
     telemetry::stop();
   });
-}
-
-inline workload::SynthesizerConfig paper_workload(std::uint64_t dataset_bytes,
-                                                  double byte_rate,
-                                                  double popularity,
-                                                  std::uint64_t seed = 1) {
-  workload::SynthesizerConfig w;
-  w.dataset_bytes = dataset_bytes;
-  w.byte_rate = byte_rate;
-  w.popularity = popularity;
-  w.duration_s = warm_up_s() + measured_duration_s();
-  w.page_bytes = 256 * kKiB;
-  w.file_scale = 16.0;
-  // Gentle load variation across periods (paper Fig. 9 reports <5% average
-  // period-to-period change with occasional 15-25% spikes).
-  w.rate_modulation = 0.12;
-  w.modulation_period_s = 3600.0;
-  w.seed = seed;
-  return w;
-}
-
-inline sim::EngineConfig paper_engine() {
-  sim::EngineConfig e;
-  e.joint.physical_bytes = 128 * kGiB;
-  e.joint.unit_bytes = 16 * kMiB;
-  e.joint.page_bytes = 256 * kKiB;
-  e.joint.period_s = 600.0;
-  e.joint.window_s = 0.1;
-  e.joint.util_limit = 0.10;
-  e.joint.delay_limit = 1e-3;
-  e.prefill_cache = true;
-  e.warm_up_s = warm_up_s();
-  return e;
-}
-
-// Renders one metric across the sweep: rows = policies, columns = points.
-template <typename Fn>
-void print_metric_table(const std::string& title,
-                        const std::vector<sim::SweepPoint>& points, Fn metric) {
-  std::vector<std::string> headers{"method"};
-  for (const auto& p : points) headers.push_back(p.label);
-  Table t(headers);
-  const std::size_t n_policies = points.front().outcomes.size();
-  for (std::size_t i = 0; i < n_policies; ++i) {
-    t.row().cell(points.front().outcomes[i].spec.name);
-    for (const auto& p : points) t.cell(metric(p.outcomes[i]));
-  }
-  std::cout << "\n== " << title << " ==\n" << t.to_string();
 }
 
 // Formatting delegates to the spec layer so the tables a migrated harness

@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(dataset_gib), rate_mb,
               popularity);
 
-  std::vector<std::pair<std::string, workload::SynthesizerConfig>> workloads{
-      {"workload", workload}};
+  const std::vector<sim::SweepWorkload> workloads{
+      {"workload", workload, {}, {}}};
   const auto points =
       sim::run_sweep(workloads, sc.roster, sc.engine,
                      [](const std::string& line) {

@@ -74,17 +74,6 @@ double ClusterMetrics::balance_index() const {
   return sum * sum / (static_cast<double>(servers.size()) * sum_sq);
 }
 
-namespace {
-
-workload::Trace to_trace(const std::vector<workload::TraceEvent>& events) {
-  workload::Trace t;
-  t.reserve(events.size());
-  for (const auto& e : events) t.push_back(e);
-  return t;
-}
-
-}  // namespace
-
 std::vector<std::uint32_t> route_requests(const workload::Trace& trace,
                                           const ClusterConfig& cfg) {
   JPM_CHECK(cfg.server_count > 0);
@@ -134,11 +123,6 @@ std::vector<std::uint32_t> route_requests(const workload::Trace& trace,
   return routes;
 }
 
-std::vector<std::uint32_t> route_requests(
-    const std::vector<workload::TraceEvent>& trace, const ClusterConfig& cfg) {
-  return route_requests(to_trace(trace), cfg);
-}
-
 FaultRouting route_requests_with_faults(
     const workload::Trace& trace, const ClusterConfig& cfg,
     const std::vector<OutageWindows>& outages) {
@@ -182,12 +166,6 @@ FaultRouting route_requests_with_faults(
   return out;
 }
 
-FaultRouting route_requests_with_faults(
-    const std::vector<workload::TraceEvent>& trace, const ClusterConfig& cfg,
-    const std::vector<OutageWindows>& outages) {
-  return route_requests_with_faults(to_trace(trace), cfg, outages);
-}
-
 ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
                            double duration_s, double off_idle_s) {
   JPM_CHECK(off_idle_s > 0.0);
@@ -218,12 +196,6 @@ ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
     if (end_of_on < duration_s) ++usage.power_cycles;
   }
   return usage;
-}
-
-ChassisUsage chassis_usage(const std::vector<double>& request_times_s,
-                           double duration_s, double off_idle_s) {
-  return chassis_usage(request_times_s.data(), request_times_s.size(),
-                       duration_s, off_idle_s);
 }
 
 ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
@@ -285,13 +257,6 @@ ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
     if (end_of_on < duration_s) ++usage.power_cycles;
   }
   return usage;
-}
-
-ChassisUsage chassis_usage(const std::vector<double>& request_times_s,
-                           double duration_s, double off_idle_s,
-                           const OutageWindows& outages) {
-  return chassis_usage(request_times_s.data(), request_times_s.size(),
-                       duration_s, off_idle_s, outages);
 }
 
 ShardLayout build_shard_layout(const workload::Trace& trace,
@@ -402,10 +367,10 @@ ClusterMetrics ClusterEngine::run() {
   telemetry::RunRecorder* const caller =
       recorders.empty() ? telemetry::current_run() : nullptr;
   // Per-server pipelines replay disjoint shard blocks and share nothing
-  // mutable, so they fan out as stealable tasks (JPM_THREADS workers,
-  // JPM_SCHED schedule — stealing absorbs stragglers like fault-heavy or
-  // hot-partition servers); each task writes only its own ServerOutcome
-  // slot, so results never depend on the schedule.
+  // mutable, so they fan out as stealable tasks (JPM_THREADS workers;
+  // stealing absorbs stragglers like fault-heavy or hot-partition servers);
+  // each task writes only its own ServerOutcome slot, so results never
+  // depend on the schedule.
   const unsigned workers =
       caller != nullptr ? 1 : util::default_thread_count();
   util::parallel_for(config_.server_count, workers, [&](std::size_t s) {
@@ -433,8 +398,8 @@ ClusterMetrics ClusterEngine::run() {
           plan.seed, 0x2000000ull + static_cast<std::uint64_t>(s));
     }
 
-    // Replay the server's shard block zero-copy through the push-mode
-    // engine (bit-identical to a materialized replay of the same events).
+    // Replay the server's shard block zero-copy in one push_chunk
+    // (bit-identical to a materialized replay of the same events).
     sim::LiveSource source;
     source.page_bytes = workload_.page_bytes;
     source.total_pages = total_pages;

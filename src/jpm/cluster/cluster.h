@@ -25,7 +25,7 @@
 // per-server vector<vector<...>> heap scatter — and servers execute as
 // stealable tasks on the work-stealing pool. Every task writes only its own
 // preallocated ServerOutcome slot and metrics reduce in fixed server order,
-// so aggregates are byte-stable at any JPM_THREADS / JPM_SCHED.
+// so aggregates are byte-stable at any JPM_THREADS.
 #pragma once
 
 #include <cstdint>
@@ -103,7 +103,7 @@ struct ClusterMetrics {
 // whole fleet's state is three allocations regardless of server count, each
 // server's events are contiguous (cache- and prefetch-friendly for the
 // batched engine), and a server task replays its block zero-copy through the
-// engine's push-mode interface.
+// engine's push interface.
 struct ShardLayout {
   std::vector<double> times;
   std::vector<std::uint64_t> pages;
@@ -171,7 +171,7 @@ struct ClusterSweepPoint {
 // inner per-server loop then runs inline on its worker (nested-parallelism
 // guard), so fleet sweeps parallelize across points without oversubscribing.
 // Results sit in preallocated slots and `progress` lines are emitted in job
-// order, so output is bit-identical at any JPM_THREADS / JPM_SCHED. Unlike
+// order, so output is bit-identical at any JPM_THREADS. Unlike
 // sim::run_sweep there is no always-on-baseline requirement (cluster
 // metrics are absolute, not normalized). Axis coordinates on the workloads
 // surface as `axis/<name>` gauges on each job's telemetry run.
@@ -181,13 +181,9 @@ std::vector<ClusterSweepPoint> run_cluster_sweep(
     const std::vector<sim::PolicySpec>& roster,
     const std::function<void(const std::string&)>& progress = {});
 
-// Routing decision sequence for a request stream. The Trace overload is the
-// primary (reads the SoA lanes directly); the AoS form converts and
-// forwards (exposed for testing and interop).
+// Routing decision sequence for a request stream.
 std::vector<std::uint32_t> route_requests(const workload::Trace& trace,
                                           const ClusterConfig& cfg);
-std::vector<std::uint32_t> route_requests(
-    const std::vector<workload::TraceEvent>& trace, const ClusterConfig& cfg);
 
 // Per-server crash outage windows, sorted and disjoint.
 using OutageWindows = std::vector<std::pair<double, double>>;
@@ -204,28 +200,19 @@ struct FaultRouting {
 FaultRouting route_requests_with_faults(const workload::Trace& trace,
                                         const ClusterConfig& cfg,
                                         const std::vector<OutageWindows>& outages);
-FaultRouting route_requests_with_faults(
-    const std::vector<workload::TraceEvent>& trace, const ClusterConfig& cfg,
-    const std::vector<OutageWindows>& outages);
 
-// Chassis on/off accounting over one server's request arrival times. The
-// pointer form reads an arrival slice straight out of the shard arena; the
-// vector overloads forward to it.
+// Chassis on/off accounting over one server's request arrival times, read
+// as a slice straight out of the shard arena.
 struct ChassisUsage {
   double on_s = 0.0;
   std::uint64_t power_cycles = 0;
 };
 ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
                            double duration_s, double off_idle_s);
-ChassisUsage chassis_usage(const std::vector<double>& request_times_s,
-                           double duration_s, double off_idle_s);
 // Outage-aware overload: a crash forces the chassis off for the window
 // (one forced power cycle); the server restarts — and is back on — at the
 // window's end.
 ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
-                           double duration_s, double off_idle_s,
-                           const OutageWindows& outages);
-ChassisUsage chassis_usage(const std::vector<double>& request_times_s,
                            double duration_s, double off_idle_s,
                            const OutageWindows& outages);
 

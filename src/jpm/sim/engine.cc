@@ -7,10 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 #include "jpm/cache/lru_cache.h"
 #include "jpm/cache/page_table.h"
 #include "jpm/cache/stack_distance.h"
@@ -32,12 +28,7 @@ struct Engine::Impl {
   PolicySpec policy;
   EngineConfig config;
 
-  // Trace source: a borrowed immutable Trace (run()) viewed through these SoA
-  // lanes, or a live source whose chunks arrive through push_chunk().
-  const double* ev_times = nullptr;
-  const std::uint64_t* ev_pages = nullptr;
-  const std::uint8_t* ev_flags = nullptr;
-  std::size_t event_count = 0;
+  // The source's declared geometry; its events arrive through push_chunk().
   double duration_s = 0.0;
   std::uint64_t total_pages = 0;
 
@@ -96,11 +87,9 @@ struct Engine::Impl {
   double period_busy_start_s = 0.0;
   std::uint64_t period_delayed_requests = 0;
   double last_disk_finish;
-  bool ran = false;
-  // Push-mode state: live engines start lazily at the first push and end at
+  // Run state: the engine starts lazily at its first call and ends at
   // finish(); forced fallback / shed counts come from the stream overload
   // policies (see engine.h).
-  bool live = false;
   bool started = false;
   bool finished = false;
   bool forced_fallback = false;
@@ -124,79 +113,15 @@ struct Engine::Impl {
     double latency_s = 0.0;
   } snapshot;
 
-  Impl(const workload::Trace& trace, const PolicySpec& spec,
-       const EngineConfig& cfg)
-      : policy(spec), config(cfg), meter(cfg.joint.mem, 0, 0.0),
-        last_disk_finish(0.0) {
-    duration_s = trace.duration_s;
-    total_pages = trace.total_pages;
-    attach_trace(trace);
-    init(trace.page_bytes);
-  }
-
   Impl(const LiveSource& source, const PolicySpec& spec,
        const EngineConfig& cfg)
       : policy(spec), config(cfg), meter(cfg.joint.mem, 0, 0.0),
         last_disk_finish(0.0) {
     JPM_CHECK_MSG(source.total_pages > 0,
                   "a live source must declare its data-set size");
-    live = true;
     duration_s = source.duration_hint_s;
     total_pages = source.total_pages;
     init(source.page_bytes);
-  }
-
-  // Validates a trace's event lanes and adopts them as the run's source.
-  // Fills duration and data-set size when the caller left them derived (0).
-  void attach_trace(const workload::Trace& tr) {
-    JPM_CHECK_MSG(!tr.empty(), "replay trace is empty");
-    // Branchless validation scan (accumulate, check once): the per-element
-    // CHECK's early-exit branch kept the compiler from vectorizing what is
-    // otherwise a pure max/ordered reduction over the whole trace — and this
-    // scan runs per replay, which a sweep repeats per policy.
-    const double* times = tr.times.data();
-    const std::uint64_t* pages = tr.pages.data();
-    const std::size_t count = tr.size();
-    // >= (not !<) so a NaN timestamp fails the scan exactly as the
-    // per-element CHECK did.
-    bool sorted = times[0] >= 0.0;
-    std::size_t i = 1;
-#if defined(__SSE2__)
-    // Two compares per vector op; a NaN makes cmple false, clearing its ok
-    // bit, so the NaN behaviour above is preserved.
-    __m128d ok = _mm_castsi128_pd(_mm_set1_epi32(-1));
-    for (; i + 2 <= count; i += 2) {
-      ok = _mm_and_pd(ok, _mm_cmple_pd(_mm_loadu_pd(times + i - 1),
-                                       _mm_loadu_pd(times + i)));
-    }
-    sorted &= _mm_movemask_pd(ok) == 3;
-#endif
-    for (; i < count; ++i) sorted &= times[i] >= times[i - 1];
-    JPM_CHECK_MSG(sorted, "replay trace must be time-sorted");
-    // Four independent accumulators: a single max is a loop-carried chain
-    // (SSE2 has no packed 64-bit max to lean on).
-    std::uint64_t m0 = pages[0], m1 = 0, m2 = 0, m3 = 0;
-    std::size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-      m0 = std::max(m0, pages[j]);
-      m1 = std::max(m1, pages[j + 1]);
-      m2 = std::max(m2, pages[j + 2]);
-      m3 = std::max(m3, pages[j + 3]);
-    }
-    for (; j < count; ++j) m0 = std::max(m0, pages[j]);
-    const std::uint64_t max_page = std::max(std::max(m0, m1), std::max(m2, m3));
-    const double prev = tr.times.back();
-    // Events may trail slightly past the declared duration (the synthesizer
-    // admits arrivals up to it and their pages follow); the run still closes
-    // its books at the declared duration.
-    if (duration_s == 0.0) duration_s = prev;
-    if (total_pages == 0) total_pages = max_page + 1;
-    JPM_CHECK_MSG(max_page < total_pages,
-                  "trace pages exceed the declared data-set size");
-    ev_times = tr.times.data();
-    ev_pages = tr.pages.data();
-    ev_flags = tr.flags.data();
-    event_count = tr.size();
   }
 
   // Rejects configurations that would silently corrupt the run. Uses
@@ -363,10 +288,6 @@ struct Engine::Impl {
       manager = std::make_unique<core::JointPowerManager>(jc, guard);
       collector = std::make_unique<core::PeriodStatsCollector>(
           jc.unit_frames(), jc.max_units(), 0.0);
-      // Replay runs know the event count up front: pre-size the first
-      // period's lanes so the per-access push never grows mid-run (the
-      // growth ramp re-paid on every run dominated collector time).
-      if (event_count > 0) collector->reserve_events(event_count);
       current_units = manager->initial_memory_units();
       dynamic_timeout->set_timeout(manager->initial_timeout_s());
     } else {
@@ -815,8 +736,8 @@ struct Engine::Impl {
     }
   }
 
-  // Binds telemetry and emits the run_begin marker. Idempotent: run() does
-  // it up front; push-mode engines do it lazily at the first call.
+  // Binds telemetry and emits the run_begin marker, lazily at the first
+  // call. Idempotent.
   void begin_once() {
     if (started) return;
     started = true;
@@ -839,18 +760,11 @@ struct Engine::Impl {
     }
   }
 
-  RunMetrics run() {
-    JPM_CHECK_MSG(!ran && !finished, "Engine::run is single-shot");
-    JPM_CHECK_MSG(!live, "live engines end with finish(), not run()");
-    ran = true;
-    begin_once();
-    feed(ev_times, ev_pages, ev_flags, event_count);
-    return finish_run(duration_s);
-  }
-
   // Close out the run at `end`: final boundaries and flushes, the shutdown
   // writeback, the last period, warm-up subtraction, and the metric totals.
-  RunMetrics finish_run(double end) {
+  RunMetrics finish(double end) {
+    JPM_CHECK_MSG(!finished, "Engine::finish is single-shot");
+    begin_once();
     finished = true;
     JPM_CHECK_MSG(config.warm_up_s < end,
                   "warm-up must be shorter than the run");
@@ -915,18 +829,20 @@ struct Engine::Impl {
     return metrics;
   }
 
-  // ---- push-mode interface (live sources; see jpm::stream) ----------------
+  // ---- push interface -----------------------------------------------------
 
   void push_chunk(const double* times, const std::uint64_t* pages,
                   const std::uint8_t* flags, std::size_t n) {
-    JPM_CHECK_MSG(live, "push-mode requires a LiveSource engine");
     JPM_CHECK_MSG(!finished, "push after finish");
+    // Pre-size the first period's lanes to the first chunk, so a replay that
+    // pushes its whole trace at once never grows them mid-run (the growth
+    // ramp re-paid on every run dominated collector time).
+    if (!started && collector) collector->reserve_events(n);
     begin_once();
     feed(times, pages, flags, n);
   }
 
   void advance_to(double t) {
-    JPM_CHECK_MSG(live, "push-mode requires a LiveSource engine");
     JPM_CHECK_MSG(!finished, "advance after finish");
     begin_once();
     advance_timers(t);
@@ -936,26 +852,14 @@ struct Engine::Impl {
     forced_fallback = on;
     if (manager) manager->set_forced_fallback(on);
   }
-
-  RunMetrics finish(double end) {
-    JPM_CHECK_MSG(live, "finish() ends live engines; replays use run()");
-    JPM_CHECK_MSG(!finished, "Engine::finish is single-shot");
-    begin_once();
-    return finish_run(end);
-  }
 };
 
-Engine::Engine(const workload::Trace& trace, const PolicySpec& policy,
-               const EngineConfig& config)
-    : impl_(std::make_unique<Impl>(trace, policy, config)) {}
 Engine::Engine(const LiveSource& source, const PolicySpec& policy,
                const EngineConfig& config)
     : impl_(std::make_unique<Impl>(source, policy, config)) {}
 Engine::~Engine() = default;
 Engine::Engine(Engine&&) noexcept = default;
 Engine& Engine::operator=(Engine&&) noexcept = default;
-
-RunMetrics Engine::run() { return impl_->run(); }
 
 void Engine::push_chunk(const double* times, const std::uint64_t* pages,
                         const std::uint8_t* flags, std::size_t n) {
@@ -1001,7 +905,20 @@ RunMetrics run_simulation(const workload::SynthesizerConfig& workload,
 RunMetrics run_simulation(const workload::Trace& trace,
                           const PolicySpec& policy,
                           const EngineConfig& config) {
-  return Engine(trace, policy, config).run();
+  return replay_trace(trace, workload::validate_trace(trace), policy, config);
+}
+
+RunMetrics replay_trace(const workload::Trace& trace,
+                        const workload::TraceExtent& extent,
+                        const PolicySpec& policy, const EngineConfig& config) {
+  LiveSource source;
+  source.page_bytes = trace.page_bytes;
+  source.total_pages = extent.total_pages;
+  source.duration_hint_s = extent.duration_s;
+  Engine engine(source, policy, config);
+  engine.push_chunk(trace.times.data(), trace.pages.data(),
+                    trace.flags.data(), trace.size());
+  return engine.finish(extent.duration_s);
 }
 
 }  // namespace jpm::sim

@@ -10,6 +10,7 @@
 #include "jpm/sim/metrics.h"
 #include "jpm/sim/policies.h"
 #include "jpm/workload/synthesizer.h"
+#include "jpm/workload/trace.h"
 
 namespace jpm::sim {
 
@@ -48,8 +49,9 @@ struct EngineConfig {
   fault::FaultPlan fault;
 };
 
-// Geometry of a live (push-mode) event source: the jpm::stream daemon feeds
-// events through Engine::push_chunk instead of a materialized trace, so the
+// Geometry of an engine's event source. Events arrive through
+// Engine::push_chunk — a replayed trace in one chunk, a synthesizer in
+// bounded windows, the jpm::stream daemon in ring-drained chunks — so the
 // data-set size must be declared up front (prefill, readahead bounds) and
 // the run's end arrives with Engine::finish.
 struct LiveSource {
@@ -60,39 +62,26 @@ struct LiveSource {
   double duration_hint_s = 0.0;
 };
 
-// Every event reaches the simulation core through one batched path. Events
-// are applied in runs of up to 64 that provably cross no timer edge (period
-// boundary, flush tick, warm-up snapshot, or bank disable); the run's
-// page-table probes and tracker/LRU lines are prefetched a few events ahead
-// of the walk. An event that lands on a timer edge fires the due timers
-// first and is applied alone. Results do not depend on how the event stream
-// is split into run()/push_chunk() calls.
+// One source, one event path. Events arrive as SoA chunks through
+// push_chunk(); the run ends with finish(). Every event reaches the
+// simulation core through one batched path: events are applied in runs of
+// up to 64 that provably cross no timer edge (period boundary, flush tick,
+// warm-up snapshot, or bank disable); the run's page-table probes and
+// tracker/LRU lines are prefetched a few events ahead of the walk. An event
+// that lands on a timer edge fires the due timers first and is applied
+// alone. Results do not depend on how the event stream is split into
+// push_chunk() calls, so a replay and a stream of the same events are
+// bit-identical.
 class Engine {
  public:
-  // Replays a shared immutable trace without copying it; the trace must
-  // outlive the engine. Any number of engines may replay the same Trace
-  // concurrently.
-  Engine(const workload::Trace& trace, const PolicySpec& policy,
-         const EngineConfig& config);
-  // Push-mode engine for a live source: no trace, events arrive through
-  // push_chunk() and the run ends with finish().
   Engine(const LiveSource& source, const PolicySpec& policy,
          const EngineConfig& config);
   ~Engine();
   Engine(Engine&&) noexcept;
   Engine& operator=(Engine&&) noexcept;
 
-  // Runs the whole trace and returns the metrics. Single-shot.
-  RunMetrics run();
-
-  // ---- push-mode interface (live sources; see jpm::stream) ----------------
   // Events arrive as SoA lanes with nondecreasing timestamps; `flags` uses
-  // the workload trace flag bits. Exclusive with run(): a trace-backed engine
-  // uses run(), a LiveSource engine uses push_chunk/advance_to/finish. The
-  // replay path is a thin client of the same core (run() == push the whole
-  // trace, then finish at the declared duration), so metrics are
-  // bit-identical between a replay and a stream of the same events, for
-  // every chunking.
+  // the workload trace flag bits. The lanes are read during the call only.
   void push_chunk(const double* times, const std::uint64_t* pages,
                   const std::uint8_t* flags, std::size_t n);
   // Advances timers (period boundaries, flush ticks, warm-up snapshot, bank
@@ -108,7 +97,7 @@ class Engine {
   void set_forced_fallback(bool on);
   void note_shed(std::uint64_t events);
   // Closes the run at `end_s` (drain flushes, close the final period) and
-  // returns the metrics. Single-shot, like run().
+  // returns the metrics. Single-shot.
   RunMetrics finish(double end_s);
 
  private:
@@ -116,13 +105,22 @@ class Engine {
   std::unique_ptr<Impl> impl_;
 };
 
-// Convenience wrappers: construct + run. The workload form streams the
-// generator through push_chunk in bounded windows (flat memory for any
+// Convenience wrappers: construct + push + finish. The workload form streams
+// the generator through push_chunk in bounded windows (flat memory for any
 // duration); its metrics are bit-identical to replaying
-// workload::synthesize_trace of the same config.
+// workload::synthesize_trace of the same config. The trace form validates
+// the trace (workload::validate_trace), then replays it.
 RunMetrics run_simulation(const workload::SynthesizerConfig& workload,
                           const PolicySpec& policy, const EngineConfig& config);
 RunMetrics run_simulation(const workload::Trace& trace,
                           const PolicySpec& policy, const EngineConfig& config);
+
+// Replays a trace that workload::validate_trace has already checked, over
+// the extent it returned: the lanes go to the engine in one push_chunk,
+// without a copy or a second scan. Any number of replays may share one
+// trace concurrently.
+RunMetrics replay_trace(const workload::Trace& trace,
+                        const workload::TraceExtent& extent,
+                        const PolicySpec& policy, const EngineConfig& config);
 
 }  // namespace jpm::sim

@@ -1,4 +1,4 @@
-// File-backed replay: streams a JPMC trace through the push-mode Engine one
+// File-backed replay: streams a JPMC trace through the Engine one
 // chunk window at a time, so a run over a billion-event file holds one
 // decoded chunk (~24 bytes x chunk window) in RAM, never the whole trace.
 //
@@ -7,9 +7,9 @@
 // push_chunk() decodes chunk i into the reusable buffer and feeds it through
 // Engine::push_chunk (the batched hot path), finish_stream() closes the run
 // at the header's declared duration. Engine::feed is chunking-invariant and
-// run() == push-everything + finish(duration), so the returned metrics are
-// bit-identical to an in-memory replay of the same events — the contract the
-// chunked-vs-in-memory differential tests pin down.
+// an in-memory replay is push-everything + finish(duration), so the returned
+// metrics are bit-identical to it — the contract the chunked-vs-in-memory
+// differential tests pin down.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +35,7 @@ class FileReplay {
   // must be fed in file order, each exactly once.
   void push_chunk(std::size_t i);
   // Closes the run at the header's duration and returns the metrics.
-  // Single-shot, like Engine::run().
+  // Single-shot, like Engine::finish().
   RunMetrics finish_stream();
 
   // begin + every chunk in order + finish.

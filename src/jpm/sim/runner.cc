@@ -20,8 +20,7 @@ namespace {
 std::size_t find_baseline(const std::vector<PolicySpec>& roster) {
   std::size_t baseline = roster.size();
   for (std::size_t i = 0; i < roster.size(); ++i) {
-    if (roster[i].disk == DiskPolicyKind::kAlwaysOn &&
-        !roster[i].multi_speed) {
+    if (roster[i].is_baseline()) {
       JPM_CHECK_MSG(baseline == roster.size(),
                     "roster must contain exactly one always-on baseline; "
                     "found both \"" << roster[baseline].name << "\" and \""
@@ -65,15 +64,17 @@ std::vector<SweepPoint> run_sweep(
 
   // Materialize each sweep point's event source exactly once; every policy
   // run then consumes it read-only. Synthesized points build an in-RAM
-  // trace; file-backed points mmap their JPMC file (index validated here,
-  // chunks decoded per run inside a reusable window — the whole trace never
-  // lands in memory). All randomness lives in the synthesizer, whose stream
-  // derives solely from the point's seed, so neither sharing nor scheduling
-  // can change any metric.
+  // trace and validate it here, so no policy run scans it again; file-backed
+  // points mmap their JPMC file (index validated here, chunks decoded per
+  // run inside a reusable window — the whole trace never lands in memory).
+  // All randomness lives in the synthesizer, whose stream derives solely
+  // from the point's seed, so neither sharing nor scheduling can change any
+  // metric.
   TELEM_EVENT(kSweep, "sweep_begin", 0.0,
               {"points", static_cast<double>(n_points)},
               {"policies", static_cast<double>(n_policies)});
   std::vector<workload::Trace> traces(n_points);
+  std::vector<workload::TraceExtent> extents(n_points);
   std::vector<std::unique_ptr<tracefile::TraceReader>> readers(n_points);
   util::parallel_for(n_points, [&](std::size_t i) {
     if (!workloads[i].trace_path.empty()) {
@@ -90,6 +91,7 @@ std::vector<SweepPoint> run_sweep(
     } else {
       const telemetry::SpanTimer span("synthesize", workloads[i].label);
       traces[i] = workload::synthesize_trace(workloads[i].workload);
+      extents[i] = workload::validate_trace(traces[i]);
     }
   });
   // Publish file provenance in point order (deterministic, independent of
@@ -153,7 +155,8 @@ std::vector<SweepPoint> run_sweep(
         "policy_run", points[i].label + "/" + roster[j].name);
     outcome.metrics = readers[i] != nullptr
                           ? replay_file(*readers[i], roster[j], config)
-                          : run_simulation(traces[i], roster[j], config);
+                          : replay_trace(traces[i], extents[i], roster[j],
+                                         config);
     if (progress) {  // only pay for formatting when a sink is attached
       std::ostringstream os;
       os << "[" << points[i].label << "] " << roster[j].name << ": total "
@@ -173,19 +176,6 @@ std::vector<SweepPoint> run_sweep(
   TELEM_EVENT(kSweep, "sweep_end", 0.0,
               {"runs", static_cast<double>(jobs.size())});
   return points;
-}
-
-std::vector<SweepPoint> run_sweep(
-    const std::vector<std::pair<std::string, workload::SynthesizerConfig>>&
-        workloads,
-    const std::vector<PolicySpec>& roster, const EngineConfig& config,
-    const std::function<void(const std::string&)>& progress) {
-  std::vector<SweepWorkload> points;
-  points.reserve(workloads.size());
-  for (const auto& [label, workload] : workloads) {
-    points.push_back(SweepWorkload{label, workload, {}, {}});
-  }
-  return run_sweep(points, roster, config, progress);
 }
 
 }  // namespace jpm::sim

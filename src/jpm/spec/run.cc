@@ -1,5 +1,6 @@
 #include "jpm/spec/run.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -146,8 +147,31 @@ void print_cluster_table(
   std::cout << "\n== cluster sweep ==\n" << t.to_string();
 }
 
+namespace {
+
+// A single-server scenario runs as a sweep normalized against its always-on
+// run. A file with no workload points or no always-on policy is a parameter
+// set for its bench_* harness instead, which `jpm validate` accepts but this
+// driver cannot execute.
+void require_sweep(const Scenario& sc) {
+  const std::string driven =
+      "; jpm run cannot execute it: this file is driven by its bench_* "
+      "harness (bench_" + sc.name + ")";
+  if (sc.workloads.empty()) {
+    throw SpecError("$.workloads: no workload points to sweep" + driven);
+  }
+  if (std::none_of(sc.roster.begin(), sc.roster.end(),
+                   [](const sim::PolicySpec& p) { return p.is_baseline(); })) {
+    throw SpecError("$.roster: no always-on baseline to normalize energy "
+                    "against" + driven);
+  }
+}
+
+}  // namespace
+
 std::vector<sim::SweepPoint> run_scenario(const Scenario& sc,
                                           const RunOptions& options) {
+  if (!sc.cluster.has_value()) require_sweep(sc);
   publish_provenance(sc);
   const std::string header = expand_header(sc);
   if (!header.empty()) std::cout << header << "\n";

@@ -91,7 +91,10 @@ void print_cluster_table(const std::vector<cluster::ClusterSweepPoint>& points);
 
 // The full driver: publishes provenance, prints the expanded header (when
 // non-empty), executes the sweep, prints every configured table, and returns
-// the sweep points for bespoke post-processing.
+// the sweep points for bespoke post-processing. A single-server scenario
+// with no workload points or no always-on baseline in its roster (the
+// parameter files of bench_* harnesses) is rejected with a SpecError naming
+// `$.workloads` or `$.roster`, before anything is printed or simulated.
 //
 // Scenarios with a cluster section instead run every roster policy's
 // ClusterEngine at every workload point (no always-on baseline required —

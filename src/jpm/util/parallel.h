@@ -1,31 +1,23 @@
 // Fork-join parallelism for the simulator's embarrassingly parallel loops
 // (policy sweeps, per-server cluster pipelines, per-point trace synthesis).
 //
-// Two schedulers share one contract:
+// One scheduler: each worker starts with a contiguous slice of [0, n) held
+// in a per-worker atomic range (the chunk queue); the owner pops indices
+// from the front, and a worker whose slice runs dry steals the back half of
+// a victim's remaining range. Straggler-heavy mixes (fault-injected runs,
+// skewed sweep grids) rebalance automatically.
 //
-//   * kStatic — worker w executes indices w, w + W, w + 2W, … with no work
-//     stealing. The task -> thread mapping is fixed; wall-clock suffers when
-//     per-task costs are skewed (one stripe drags the join).
-//   * kSteal — the default. Each worker starts with a contiguous slice of
-//     [0, n) held in a per-worker atomic range (the chunk queue); the owner
-//     pops indices from the front, and a worker whose slice runs dry steals
-//     the back half of a victim's remaining range. Straggler-heavy mixes
-//     (fault-injected runs, skewed sweep grids) rebalance automatically.
-//
-// Determinism never depends on which scheduler ran: every task writes only
-// its own preallocated output slot and reductions happen in fixed index
-// order after the join, so results are bit-identical at any JPM_THREADS and
-// either JPM_SCHED. Only wall-clock differs.
+// Determinism never depends on which worker ran a task: every task writes
+// only its own preallocated output slot and reductions happen in fixed index
+// order after the join, so results are bit-identical at any JPM_THREADS.
+// Only wall-clock differs.
 //
 // The body is a template parameter — no per-task std::function dispatch on
-// the hot path. A thin std::function overload remains for call sites that
-// need type erasure.
+// the hot path.
 //
-// Knobs (environment):
+// Knob (environment):
 //   JPM_THREADS  worker count; 1 = the exact serial legacy path, run inline
 //                on the caller; unset = std::thread::hardware_concurrency().
-//   JPM_SCHED    "steal" (default) or "static" — the escape hatch back to
-//                fixed striping.
 //
 // Nested parallelism: a parallel_for issued from inside a pool task runs
 // inline on that worker (serial). This keeps e.g. a cluster-sweep outer loop
@@ -33,13 +25,14 @@
 // the inner loop's slot-writing determinism trivially intact.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "jpm/util/check.h"
@@ -51,16 +44,14 @@ namespace jpm::util {
 // (falling back to 1 when that is unknown).
 unsigned default_thread_count();
 
-enum class SchedMode { kStatic, kSteal };
-
-// JPM_SCHED when set to a known name ("static", "steal"), else kSteal.
-SchedMode default_sched_mode();
-
 namespace detail {
 
 // Set while the current thread is executing tasks inside a TaskPool region;
-// nested parallel_for calls observe it and run inline.
-extern thread_local bool tl_in_parallel_region;
+// nested parallel_for calls observe it and run inline. Defined inline with a
+// constant initializer, so every use is a direct TLS access: an extern
+// thread_local is reached through a TLS wrapper function instead, whose
+// result UBSan's null check flags.
+inline thread_local bool tl_in_parallel_region = false;
 
 // Shared error slot: the first exception (in worker-observation order) wins;
 // once `failed` is set, workers stop starting new tasks.
@@ -140,7 +131,7 @@ struct alignas(64) WorkerRange {
 // region: workers are spawned, execute body(i) for every i in [0, n)
 // exactly once, and join before run() returns. Exposed (rather than hidden
 // in parallel_for) so the scheduler itself is unit-testable with an explicit
-// worker count and mode.
+// worker count.
 class TaskPool {
  public:
   // Blocks until every task finished. If tasks throw, the first exception
@@ -149,8 +140,7 @@ class TaskPool {
   // workers <= 1, n <= 1, or from inside another pool region, the loop runs
   // inline on the calling thread (the serial path).
   template <typename Body>
-  static void run(std::size_t n, unsigned workers, SchedMode mode,
-                  Body&& body) {
+  static void run(std::size_t n, unsigned workers, Body&& body) {
     if (n == 0) return;
     const std::size_t spread = std::min<std::size_t>(
         workers == 0 ? 1 : workers, n);
@@ -158,11 +148,7 @@ class TaskPool {
       run_inline(n, body);
       return;
     }
-    if (mode == SchedMode::kSteal) {
-      run_steal(n, static_cast<unsigned>(spread), body);
-    } else {
-      run_static(n, static_cast<unsigned>(spread), body);
-    }
+    run_steal(n, static_cast<unsigned>(spread), body);
   }
 
  private:
@@ -171,27 +157,7 @@ class TaskPool {
     for (std::size_t i = 0; i < n; ++i) body(i);
   }
 
-  // The legacy fixed-stripe schedule (JPM_SCHED=static).
-  template <typename Body>
-  static void run_static(std::size_t n, unsigned workers, Body& body) {
-    detail::ErrorSlot errors;
-    const auto run_stripe = [&](std::size_t w) {
-      detail::tl_in_parallel_region = true;
-      for (std::size_t i = w; i < n; i += workers) {
-        if (errors.failed.load(std::memory_order_relaxed)) break;
-        if (!errors.run_guarded([&] { body(i); })) break;
-      }
-      detail::tl_in_parallel_region = false;
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (unsigned w = 1; w < workers; ++w) pool.emplace_back(run_stripe, w);
-    run_stripe(0);  // the caller is worker 0
-    for (auto& t : pool) t.join();
-    if (errors.first) std::rethrow_exception(errors.first);
-  }
-
-  // The chunk-queue/work-stealing schedule (JPM_SCHED=steal, the default).
+  // The chunk-queue/work-stealing schedule.
   template <typename Body>
   static void run_steal(std::size_t n, unsigned workers, Body& body) {
     JPM_CHECK_MSG(n <= 0xffffffffull,
@@ -267,25 +233,17 @@ class TaskPool {
   }
 };
 
-// Runs body(i) for every i in [0, n) across `workers` threads under `mode`
-// (see TaskPool::run for the contract).
+// Runs body(i) for every i in [0, n) across `workers` threads (see
+// TaskPool::run for the contract).
 template <typename Body>
 void parallel_for(std::size_t n, unsigned workers, Body&& body) {
-  TaskPool::run(n, workers, default_sched_mode(), std::forward<Body>(body));
+  TaskPool::run(n, workers, std::forward<Body>(body));
 }
 
 // Same, with workers = default_thread_count().
 template <typename Body>
 void parallel_for(std::size_t n, Body&& body) {
-  TaskPool::run(n, default_thread_count(), default_sched_mode(),
-                std::forward<Body>(body));
+  TaskPool::run(n, default_thread_count(), std::forward<Body>(body));
 }
-
-// Type-erased compatibility shim (non-template call sites, e.g. across a
-// stable ABI boundary). Prefer the template: it avoids one indirect call per
-// task.
-void parallel_for(std::size_t n, unsigned workers,
-                  const std::function<void(std::size_t)>& body);
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
 }  // namespace jpm::util

@@ -59,9 +59,21 @@ struct Trace {
     return TraceEvent{times[i], pages[i], (flags[i] & kTraceFlagStart) != 0,
                       (flags[i] & kTraceFlagWrite) != 0};
   }
-  // AoS materialization (persistence, interop with vector<TraceEvent> APIs).
-  std::vector<TraceEvent> to_events() const;
 };
+
+// The span a replay of a trace covers: its declared duration and data-set
+// size, each derived from the events where the trace leaves it 0.
+struct TraceExtent {
+  double duration_s = 0.0;
+  std::uint64_t total_pages = 0;
+};
+
+// Checks a trace before replay and returns its extent: duration_s, or the
+// last event time when 0; total_pages, or the largest page + 1 when 0.
+// Fails (JPM_CHECK) on an empty trace, on times that are unsorted or NaN,
+// and on pages at or above total_pages. One pass over the time and page
+// lanes: call it once per trace, not once per replay of a shared trace.
+TraceExtent validate_trace(const Trace& trace);
 
 // Builds a Trace from an AoS event vector plus the derived fields.
 Trace trace_from_events(const std::vector<TraceEvent>& events,

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <sys/wait.h>
 
@@ -290,6 +291,34 @@ TEST(CliTest, RunFromTraceFilesMatchesInMemoryStdout) {
             std::string::npos);
   EXPECT_NE(rs.str().find("\"trace_hash\": \""), std::string::npos);
   std::remove(file.c_str());
+}
+
+// The checked-in parameter files of bench_* harnesses pass `jpm validate`
+// but have no workload points or no always-on baseline to sweep. `jpm run`
+// must reject them with the JSON path and the harness to use, before it
+// prints the scenario header or simulates anything.
+TEST(CliTest, RunRejectsHarnessOnlyScenariosBeforePrinting) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"fig5_pareto", "$.workloads"}, {"models", "$.workloads"},
+      {"timeout_policies", "$.workloads"}, {"fig9_timeline", "$.roster"},
+      {"micro", "$.roster"}, {"ext_pblru", "$.roster"}};
+  for (const auto& [name, path] : cases) {
+    SCOPED_TRACE(name);
+    const std::string file = kScenarios + "/" + name + ".json";
+    ASSERT_EQ(run_cmd(kCli + " validate " + file).exit_code, 0);
+
+    const std::string run = "JPM_BENCH_FAST=1 " + kCli + " run " + file;
+    const auto r = run_cmd(run);
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_NE(r.output.find(std::string("error: ") + path + ": "),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find(std::string("bench_") + name), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("JPM_CHECK"), std::string::npos) << r.output;
+    // Nothing reaches stdout (the subshell drops stderr).
+    EXPECT_EQ(run_cmd("(" + run + " 2>/dev/null)").output, "");
+  }
 }
 
 }  // namespace

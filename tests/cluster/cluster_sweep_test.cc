@@ -2,13 +2,11 @@
 // run_cluster_sweep fan-out. The determinism contract is the headline — a
 // straggler-heavy, fault-injected cluster sweep (server crashes, spin-up
 // failures, a dense point next to a sparse one) must produce bit-identical
-// metrics and an identical progress stream at any JPM_THREADS and either
-// JPM_SCHED.
+// metrics and an identical progress stream at any JPM_THREADS.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "jpm/cluster/cluster.h"
@@ -153,10 +151,8 @@ std::vector<sim::PolicySpec> sweep_roster() {
 }
 
 std::vector<ClusterSweepPoint> sweep_under(const char* threads,
-                                           const char* sched,
                                            std::vector<std::string>* lines) {
   ScopedEnv t("JPM_THREADS", threads);
-  ScopedEnv s("JPM_SCHED", sched);
   return run_cluster_sweep(faulted_cluster(), straggler_workloads(),
                            sweep_roster(), [lines](const std::string& line) {
                              lines->push_back(line);
@@ -224,7 +220,7 @@ void expect_points_bit_identical(const std::vector<ClusterSweepPoint>& a,
 
 TEST(ClusterSweepDeterminismTest, FaultedStragglerSweepIsScheduleInvariant) {
   std::vector<std::string> serial_lines;
-  const auto serial = sweep_under("1", "static", &serial_lines);
+  const auto serial = sweep_under("1", &serial_lines);
 
   // The fault plan must actually fire, or this degenerates into the
   // fault-free case: crashes routed requests off dead servers.
@@ -239,13 +235,10 @@ TEST(ClusterSweepDeterminismTest, FaultedStragglerSweepIsScheduleInvariant) {
   EXPECT_TRUE(any_failover);
   EXPECT_TRUE(any_reliability);
 
-  for (const auto& [threads, sched] :
-       std::vector<std::pair<const char*, const char*>>{
-           {"1", "steal"}, {"4", "steal"}, {"8", "steal"}, {"4", "static"}}) {
-    SCOPED_TRACE(std::string("JPM_THREADS=") + threads + " JPM_SCHED=" +
-                 sched);
+  for (const char* threads : {"4", "8"}) {
+    SCOPED_TRACE(std::string("JPM_THREADS=") + threads);
     std::vector<std::string> lines;
-    const auto parallel = sweep_under(threads, sched, &lines);
+    const auto parallel = sweep_under(threads, &lines);
     expect_points_bit_identical(serial, parallel);
     EXPECT_EQ(lines, serial_lines);
   }
@@ -253,7 +246,7 @@ TEST(ClusterSweepDeterminismTest, FaultedStragglerSweepIsScheduleInvariant) {
 
 TEST(ClusterSweepDeterminismTest, ProgressLinesArriveInJobOrder) {
   std::vector<std::string> lines;
-  sweep_under("8", "steal", &lines);
+  sweep_under("8", &lines);
   ASSERT_EQ(lines.size(), 4u);  // 2 points x 2 policies, point-major
   EXPECT_EQ(lines[0].rfind("[dense] Joint", 0), 0u) << lines[0];
   EXPECT_EQ(lines[1].rfind("[dense] ", 0), 0u) << lines[1];

@@ -183,9 +183,7 @@ TEST(BatchInvarianceTest, DisableTimeoutBelowPeriodAfterIdleGaps) {
 
 TEST(BatchInvarianceTest, ThreadCountDoesNotInteractWithBatching) {
   const auto workload = batch_workload(7);
-  const auto points = std::vector<
-      std::pair<std::string, workload::SynthesizerConfig>>{
-      {"128MB", workload}};
+  const std::vector<SweepWorkload> points{{"128MB", workload, {}, {}}};
   const auto trace = workload::synthesize_trace(workload);
   const auto roster = six_policy_roster();
   std::vector<RunMetrics> references;

@@ -192,9 +192,20 @@ TEST(EngineTest, PeriodRecordsCoverRun) {
 
 TEST(EngineTest, RunIsSingleShot) {
   const auto trace = workload::synthesize_trace(small_workload());
-  Engine engine(trace, fm(mib(128)), small_engine());
-  engine.run();
-  EXPECT_THROW(engine.run(), CheckError);
+  LiveSource source;
+  source.page_bytes = trace.page_bytes;
+  source.total_pages = trace.total_pages;
+  source.duration_hint_s = trace.duration_s;
+  Engine engine(source, fm(mib(128)), small_engine());
+  engine.push_chunk(trace.times.data(), trace.pages.data(),
+                    trace.flags.data(), trace.size());
+  engine.finish(trace.duration_s);
+  // A finished engine takes no more events, timers or finishes.
+  EXPECT_THROW(engine.finish(trace.duration_s), CheckError);
+  EXPECT_THROW(engine.push_chunk(trace.times.data(), trace.pages.data(),
+                                 trace.flags.data(), 1),
+               CheckError);
+  EXPECT_THROW(engine.advance_to(trace.duration_s), CheckError);
 }
 
 TEST(EngineTest, RejectsWarmUpBeyondDuration) {
@@ -368,8 +379,8 @@ TEST(EngineTest, ReplayRejectsBadTraces) {
 }
 
 TEST(RunnerTest, SweepNormalizesAgainstAlwaysOn) {
-  std::vector<std::pair<std::string, workload::SynthesizerConfig>> workloads{
-      {"256MB", small_workload()}};
+  const std::vector<SweepWorkload> workloads{
+      {"256MB", small_workload(), {}, {}}};
   const std::vector<PolicySpec> roster{joint_policy(), fm(mib(128)),
                                        always_on_policy()};
   const auto points = run_sweep(workloads, roster, small_engine());
@@ -385,8 +396,7 @@ TEST(RunnerTest, SweepNormalizesAgainstAlwaysOn) {
 }
 
 TEST(RunnerTest, RequiresExactlyOneBaseline) {
-  std::vector<std::pair<std::string, workload::SynthesizerConfig>> workloads{
-      {"w", small_workload()}};
+  const std::vector<SweepWorkload> workloads{{"w", small_workload(), {}, {}}};
   EXPECT_THROW(run_sweep(workloads, {joint_policy()}, small_engine()),
                CheckError);
   EXPECT_THROW(run_sweep(workloads,

@@ -1,7 +1,7 @@
 // Scenario-level golden differential for the batched event path: the stdout
 // tables and telemetry report of golden scenarios must be byte-identical
-// across thread count (JPM_THREADS 1 / 8) and scheduler (JPM_SCHED static /
-// steal). The batch walk re-orders prefetches and hoists counters but may
+// across thread count (JPM_THREADS 1 / 8). The batch walk re-orders
+// prefetches and hoists counters but may
 // never change a single reported byte; this is the end-to-end check over
 // the engine's batched resolve+descend loop, the counter tree under it, the
 // per-bank timers in the batch limit (table5_bank), and the cluster sweep's
@@ -79,23 +79,18 @@ TEST(GoldenBatchTest, ScenariosAreByteIdenticalAcrossBatchThreadsAndSched) {
     const spec::Scenario sc = spec::load_for_run(
         std::string(JPM_SCENARIOS_DIR) + "/" + name + ".json");
 
-    // Baseline: serial, static scheduler.
+    // Baseline: serial.
     ScenarioRun base;
     {
       const EnvVar serial("JPM_THREADS", "1");
-      const EnvVar sched("JPM_SCHED", "static");
       base = run_scenario_capture(sc);
     }
     ASSERT_FALSE(base.stdout_text.empty());
 
-    for (const char* sched_name : {"static", "steal"}) {
-      SCOPED_TRACE(sched_name);
-      const EnvVar wide("JPM_THREADS", "8");
-      const EnvVar sched("JPM_SCHED", sched_name);
-      const ScenarioRun got = run_scenario_capture(sc);
-      EXPECT_EQ(got.stdout_text, base.stdout_text);
-      EXPECT_EQ(got.report, base.report);
-    }
+    const EnvVar wide("JPM_THREADS", "8");
+    const ScenarioRun got = run_scenario_capture(sc);
+    EXPECT_EQ(got.stdout_text, base.stdout_text);
+    EXPECT_EQ(got.report, base.report);
   }
 }
 
