@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::uint64_t page_bytes = 64 * kKiB;
-  std::vector<workload::TraceEvent> trace;
+  workload::Trace trace;
   if (std::strcmp(argv[1], "--demo") == 0) {
     workload::SynthesizerConfig cfg;
     cfg.dataset_bytes = gib(4);
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     cfg.duration_s = 1200.0;
     cfg.page_bytes = page_bytes;
     cfg.seed = 3;
-    trace = workload::synthesize(cfg);
+    trace = workload::synthesize_trace(cfg);
     std::puts("(demo trace: 4 GiB data set, 20 MB/s, popularity 0.1)");
   } else {
     trace = workload::load_trace(argv[1]);

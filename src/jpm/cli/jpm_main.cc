@@ -35,13 +35,13 @@
 //       index, and content hash, cat decodes back to CSV or JSONL. A
 //       scenario workload point replays such a file via
 //       "trace": {"path": "big.jpmc"}.
-#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -60,6 +60,7 @@
 #include "jpm/util/units.h"
 #include "jpm/workload/synthesizer.h"
 #include "jpm/workload/trace.h"
+#include "jpm/workload/trace_io.h"
 
 namespace {
 
@@ -87,6 +88,46 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
+// The --telemetry session of one command: starts it (when a base path is
+// given), and exports <base>.{report.json,trace.json,periods.csv} and stops
+// it on every exit path, an exception included, so the files a command
+// announces exist — or stderr says why they do not.
+class TelemetryExport {
+ public:
+  TelemetryExport(std::string base, std::string command)
+      : base_(std::move(base)), command_(std::move(command)) {
+    if (!base_.empty()) jpm::telemetry::start();
+  }
+  ~TelemetryExport() {
+    try {
+      finish();
+    } catch (const std::exception& e) {
+      std::cerr << command_ << ": telemetry export failed: " << e.what()
+                << "\n";
+    }
+  }
+  TelemetryExport(const TelemetryExport&) = delete;
+  TelemetryExport& operator=(const TelemetryExport&) = delete;
+
+  // Exports and stops once; false (reported on stderr) if the export failed.
+  bool finish() {
+    if (base_.empty() || finished_) return true;
+    finished_ = true;
+    std::string error;
+    const bool ok = jpm::telemetry::export_files(base_, &error);
+    if (!ok) {
+      std::cerr << command_ << ": telemetry export failed: " << error << "\n";
+    }
+    jpm::telemetry::stop();
+    return ok;
+  }
+
+ private:
+  std::string base_;
+  std::string command_;
+  bool finished_ = false;
+};
+
 int cmd_run(const std::vector<std::string>& args) {
   std::string file;
   std::string telemetry_base;
@@ -112,8 +153,8 @@ int cmd_run(const std::vector<std::string>& args) {
   std::cerr << "jpm: threads=" << jpm::util::default_thread_count()
             << (jpm::spec::fast_mode() ? ", fast mode (JPM_BENCH_FAST=1)" : "")
             << "\n";
+  TelemetryExport telemetry(telemetry_base, "jpm");
   if (!telemetry_base.empty()) {
-    jpm::telemetry::start();
     std::cerr << "jpm: telemetry -> " << telemetry_base
               << ".{report.json,trace.json,periods.csv}\n";
   }
@@ -123,17 +164,7 @@ int cmd_run(const std::vector<std::string>& args) {
     std::cerr << "  " << line << "\n";
   };
   jpm::spec::run_scenario(sc, options);
-
-  if (!telemetry_base.empty()) {
-    std::string error;
-    if (!jpm::telemetry::export_files(telemetry_base, &error)) {
-      std::cerr << "jpm: telemetry export failed: " << error << "\n";
-      jpm::telemetry::stop();
-      return 1;
-    }
-    jpm::telemetry::stop();
-  }
-  return 0;
+  return telemetry.finish() ? 0 : 1;
 }
 
 int cmd_validate(const std::vector<std::string>& args) {
@@ -324,9 +355,9 @@ int cmd_serve(const std::vector<std::string>& args) {
     throw jpm::spec::SpecError(file + ": $.stream: " + std::string(e.what()));
   }
 
+  TelemetryExport telemetry(telemetry_base, "jpm serve");
   jpm::telemetry::RunRecorder* rec = nullptr;
   if (!telemetry_base.empty()) {
-    jpm::telemetry::start();
     jpm::spec::publish_provenance(sc);
     rec = jpm::telemetry::begin_run(sc.name + "/" + policy.name);
   }
@@ -389,15 +420,7 @@ int cmd_serve(const std::vector<std::string>& args) {
                    jpm::util::json::Value{std::move(report)}, 2)
             << "\n";
 
-  if (!telemetry_base.empty()) {
-    std::string error;
-    if (!jpm::telemetry::export_files(telemetry_base, &error)) {
-      std::cerr << "jpm serve: telemetry export failed: " << error << "\n";
-      jpm::telemetry::stop();
-      return 1;
-    }
-    jpm::telemetry::stop();
-  }
+  if (!telemetry.finish()) return 1;
   if (!decode_error.empty()) {
     std::cerr << "error: " << decode_error << "\n";
     return 1;
@@ -454,9 +477,7 @@ int cmd_synth(const std::vector<std::string>& args) {
     jpm::stream::StreamEvent event;
     event.time_s = e->time_s;
     event.page = e->page;
-    event.flags = static_cast<std::uint8_t>(
-        (e->request_start ? jpm::workload::kTraceFlagStart : 0) |
-        (e->is_write ? jpm::workload::kTraceFlagWrite : 0));
+    event.flags = jpm::workload::trace_flags(*e);
     jpm::stream::write_event(std::cout, event, format);
     if (!std::cout) {
       // Downstream pipe closed (consumer exited): a clean end of stream.
@@ -581,21 +602,18 @@ int cmd_trace_pack(const std::vector<std::string>& args) {
     return 2;
   }
   jpm::workload::Trace trace = jpm::tracefile::load_any_trace(in_file);
-  // Legacy formats carry no geometry: default the page size, derive the
-  // data-set size and duration from the events (the Trace replay rules),
-  // unless flags pin them down.
+  // Legacy formats carry no geometry: default the page size; flags pin the
+  // data-set size and duration, and validate_trace derives what they leave
+  // zero (the replay rule) and rejects an empty or unsorted trace or a page
+  // past the data set.
   if (page_bytes != 0) trace.page_bytes = page_bytes;
   if (trace.page_bytes == 0) trace.page_bytes = 256 * jpm::kKiB;
   if (total_pages != 0) trace.total_pages = total_pages;
-  if (trace.total_pages == 0) {
-    for (const auto page : trace.pages) {
-      trace.total_pages = std::max(trace.total_pages, page + 1);
-    }
-  }
   if (duration_s != 0.0) trace.duration_s = duration_s;
-  if (trace.duration_s == 0.0 && !trace.empty()) {
-    trace.duration_s = trace.times.back();
-  }
+  const jpm::workload::TraceExtent extent =
+      jpm::workload::validate_trace(trace);
+  trace.total_pages = extent.total_pages;
+  trace.duration_s = extent.duration_s;
   const auto header =
       jpm::tracefile::write_trace_file(out_file, trace, options);
   std::cerr << "jpm trace pack: " << out_file << " " << header.event_count
@@ -687,28 +705,25 @@ int cmd_trace_cat(const std::vector<std::string>& args) {
   std::signal(SIGPIPE, SIG_IGN);  // a consumer exiting early is end of stream
   const jpm::tracefile::TraceReader reader(file);
   const bool csv = format == "csv";
-  if (csv) {
-    std::cout << "time_s,page,request_start,is_write\n";
-    std::cout.precision(9);
-  }
+  if (csv) jpm::workload::write_csv_header(std::cout);
   jpm::tracefile::ChunkBuffer buf;
   std::uint64_t emitted = 0;
   for (std::size_t i = 0; i < reader.chunks().size() && std::cout; ++i) {
     reader.decode_chunk(i, buf);
     for (std::size_t k = 0; k < buf.size() && std::cout; ++k) {
-      const bool start =
-          (buf.flags[k] & jpm::workload::kTraceFlagStart) != 0;
-      const bool write =
-          (buf.flags[k] & jpm::workload::kTraceFlagWrite) != 0;
       if (csv) {
-        std::cout << std::fixed << buf.times[k] << ',' << buf.pages[k] << ','
-                  << (start ? 1 : 0) << ',' << (write ? 1 : 0) << '\n';
+        jpm::workload::write_csv_row(std::cout, buf.times[k], buf.pages[k],
+                                     buf.flags[k]);
       } else {
         jpm::util::json::Object obj;
         obj["t"] = jpm::util::json::Value{buf.times[k]};
         obj["page"] = jpm::util::json::Value{buf.pages[k]};
-        if (start) obj["start"] = jpm::util::json::Value{true};
-        if (write) obj["write"] = jpm::util::json::Value{true};
+        if ((buf.flags[k] & jpm::workload::kTraceFlagStart) != 0) {
+          obj["start"] = jpm::util::json::Value{true};
+        }
+        if ((buf.flags[k] & jpm::workload::kTraceFlagWrite) != 0) {
+          obj["write"] = jpm::util::json::Value{true};
+        }
         std::cout << jpm::util::json::dump(
                          jpm::util::json::Value{std::move(obj)})
                   << '\n';

@@ -167,42 +167,12 @@ FaultRouting route_requests_with_faults(
 }
 
 ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
-                           double duration_s, double off_idle_s) {
-  JPM_CHECK(off_idle_s > 0.0);
-  ChassisUsage usage;
-  // The server starts on; it powers off after each idle stretch exceeding
-  // off_idle_s and boots back for the next request.
-  double on_since = 0.0;
-  double last_activity = 0.0;
-  bool on = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = request_times_s[i];
-    JPM_DCHECK(t >= last_activity);
-    if (on && t - last_activity > off_idle_s) {
-      usage.on_s += (last_activity + off_idle_s) - on_since;
-      on = false;
-      ++usage.power_cycles;
-    }
-    if (!on) {
-      on = true;
-      on_since = t;
-    }
-    last_activity = t;
-  }
-  if (on) {
-    const double end_of_on =
-        std::min(duration_s, last_activity + off_idle_s);
-    usage.on_s += std::max(end_of_on, on_since) - on_since;
-    if (end_of_on < duration_s) ++usage.power_cycles;
-  }
-  return usage;
-}
-
-ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
                            double duration_s, double off_idle_s,
                            const OutageWindows& outages) {
   JPM_CHECK(off_idle_s > 0.0);
   ChassisUsage usage;
+  // The server starts on; it powers off after each idle stretch exceeding
+  // off_idle_s and boots back for the next request.
   double on_since = 0.0;
   double last_activity = 0.0;
   bool on = true;
@@ -324,29 +294,22 @@ ClusterMetrics ClusterEngine::run() {
   // fault plan (deterministic in (seed, server index)) and the dead
   // server's requests fail over to survivors.
   const fault::FaultPlan& plan = config_.engine.fault;
+  // Without crashes every window list is empty: no request fails over and
+  // no chassis is forced off.
   std::vector<OutageWindows> outages(config_.server_count);
   std::uint64_t crash_count = 0;
-  if (plan.crashes_active()) {
-    for (std::uint32_t s = 0; s < config_.server_count; ++s) {
-      outages[s] = fault::crash_windows(plan, s, workload_.duration_s);
-      crash_count += outages[s].size();
-    }
+  for (std::uint32_t s = 0; s < config_.server_count; ++s) {
+    outages[s] = fault::crash_windows(plan, s, workload_.duration_s);
+    crash_count += outages[s].size();
   }
-  std::uint64_t failed_over = 0;
-  std::vector<std::uint32_t> routes;
-  if (plan.crashes_active()) {
-    FaultRouting fr = route_requests_with_faults(trace, config_, outages);
-    routes = std::move(fr.routes);
-    failed_over = fr.failed_over_requests;
-  } else {
-    routes = route_requests(trace, config_);
-  }
+  const FaultRouting routing =
+      route_requests_with_faults(trace, config_, outages);
 
   // Pack every server's events into the contiguous shard arena; the routed
   // AoS-per-server vectors this replaces cost one allocation per server and
   // scattered the fleet's state across the heap.
   const ShardLayout shards =
-      build_shard_layout(trace, routes, config_.server_count);
+      build_shard_layout(trace, routing.routes, config_.server_count);
 
   ClusterMetrics out;
   out.duration_s = workload_.duration_s - config_.engine.warm_up_s;
@@ -426,11 +389,8 @@ ClusterMetrics ClusterEngine::run() {
     const std::size_t n_arrivals =
         shards.arrival_offsets[s + 1] - shards.arrival_offsets[s];
     const auto usage =
-        plan.crashes_active()
-            ? chassis_usage(arrivals, n_arrivals, workload_.duration_s,
-                            config_.server_off_idle_s, outages[s])
-            : chassis_usage(arrivals, n_arrivals, workload_.duration_s,
-                            config_.server_off_idle_s);
+        chassis_usage(arrivals, n_arrivals, workload_.duration_s,
+                      config_.server_off_idle_s, outages[s]);
     server.chassis_on_s = usage.on_s;
     server.power_cycles = usage.power_cycles;
     server.chassis_energy_j =
@@ -444,7 +404,8 @@ ClusterMetrics ClusterEngine::run() {
   TELEM_EVENT(kCluster, "cluster_done", workload_.duration_s,
               {"servers", static_cast<double>(config_.server_count)},
               {"crashes", static_cast<double>(crash_count)},
-              {"failed_over", static_cast<double>(failed_over)});
+              {"failed_over",
+               static_cast<double>(routing.failed_over_requests)});
 
   // Reduce in fixed server order — aggregation stays byte-stable no matter
   // which worker finished which server first.
@@ -452,7 +413,7 @@ ClusterMetrics ClusterEngine::run() {
     out.reliability.merge(s.metrics.reliability);
   }
   out.reliability.server_crashes += crash_count;
-  out.reliability.failed_over_requests += failed_over;
+  out.reliability.failed_over_requests += routing.failed_over_requests;
   return out;
 }
 

@@ -202,16 +202,14 @@ FaultRouting route_requests_with_faults(const workload::Trace& trace,
                                         const std::vector<OutageWindows>& outages);
 
 // Chassis on/off accounting over one server's request arrival times, read
-// as a slice straight out of the shard arena.
+// as a slice straight out of the shard arena. The chassis powers off after
+// each idle stretch longer than off_idle_s. A crash forces it off for its
+// outage window (one forced power cycle); the server restarts — and is back
+// on — at the window's end. Pass no windows for a crash-free server.
 struct ChassisUsage {
   double on_s = 0.0;
   std::uint64_t power_cycles = 0;
 };
-ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
-                           double duration_s, double off_idle_s);
-// Outage-aware overload: a crash forces the chassis off for the window
-// (one forced power cycle); the server restarts — and is back on — at the
-// window's end.
 ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
                            double duration_s, double off_idle_s,
                            const OutageWindows& outages);

@@ -157,6 +157,34 @@ struct Engine::Impl {
     fault::validate(config.fault);
   }
 
+  // The policy's disk timeout for one spindle: the engine's own, then one
+  // per array spindle. The first joint timeout is the engine's
+  // DynamicTimeout; later ones share it (SharedTimeout), so the manager's
+  // per-period choice reaches every spindle.
+  std::unique_ptr<disk::TimeoutPolicy> make_timeout_policy() {
+    const double break_even_s = config.joint.disk.break_even_s();
+    switch (policy.disk) {
+      case DiskPolicyKind::kTwoCompetitive:
+        return std::make_unique<disk::FixedTimeout>(break_even_s);
+      case DiskPolicyKind::kAdaptive:
+        return std::make_unique<disk::AdaptiveTimeout>();
+      case DiskPolicyKind::kPredictive:
+        return std::make_unique<disk::PredictiveTimeout>(break_even_s);
+      case DiskPolicyKind::kAlwaysOn:
+        return std::make_unique<disk::NeverTimeout>();
+      case DiskPolicyKind::kJoint: {
+        if (dynamic_timeout != nullptr) {
+          return std::make_unique<disk::SharedTimeout>(dynamic_timeout);
+        }
+        auto dynamic = std::make_unique<disk::DynamicTimeout>(break_even_s);
+        dynamic_timeout = dynamic.get();
+        return dynamic;
+      }
+    }
+    JPM_CHECK_MSG(false, "unknown disk policy kind");
+    return nullptr;
+  }
+
   void init(std::uint64_t page_bytes) {
     config.joint.page_bytes = page_bytes;
     validate_config();
@@ -170,30 +198,8 @@ struct Engine::Impl {
     JPM_CHECK_MSG(jc.physical_bytes % jc.mem.bank_bytes == 0,
                   "physical memory must be a whole number of banks");
 
-    // Disk timeout policy.
-    switch (policy.disk) {
-      case DiskPolicyKind::kTwoCompetitive:
-        timeout_policy =
-            std::make_unique<disk::FixedTimeout>(jc.disk.break_even_s());
-        break;
-      case DiskPolicyKind::kAdaptive:
-        timeout_policy = std::make_unique<disk::AdaptiveTimeout>();
-        break;
-      case DiskPolicyKind::kPredictive:
-        timeout_policy =
-            std::make_unique<disk::PredictiveTimeout>(jc.disk.break_even_s());
-        break;
-      case DiskPolicyKind::kAlwaysOn:
-        timeout_policy = std::make_unique<disk::NeverTimeout>();
-        break;
-      case DiskPolicyKind::kJoint: {
-        auto dynamic =
-            std::make_unique<disk::DynamicTimeout>(jc.disk.break_even_s());
-        dynamic_timeout = dynamic.get();
-        timeout_policy = std::move(dynamic);
-        break;
-      }
-    }
+    timeout_policy = make_timeout_policy();
+
     // Storage backend: multi-speed disk, single spin-down disk, or a
     // striped array with per-disk policy instances.
     if (policy.multi_speed) {
@@ -216,23 +222,7 @@ struct Engine::Impl {
       array_cfg.page_bytes = jc.page_bytes;
       array_cfg.params = jc.disk;
       array_cfg.fault = config.fault;
-      const auto factory = [this, &jc]() -> std::unique_ptr<disk::TimeoutPolicy> {
-        switch (policy.disk) {
-          case DiskPolicyKind::kTwoCompetitive:
-            return std::make_unique<disk::FixedTimeout>(jc.disk.break_even_s());
-          case DiskPolicyKind::kAdaptive:
-            return std::make_unique<disk::AdaptiveTimeout>();
-          case DiskPolicyKind::kPredictive:
-            return std::make_unique<disk::PredictiveTimeout>(
-                jc.disk.break_even_s());
-          case DiskPolicyKind::kAlwaysOn:
-            return std::make_unique<disk::NeverTimeout>();
-          case DiskPolicyKind::kJoint:
-            return std::make_unique<disk::SharedTimeout>(dynamic_timeout);
-        }
-        JPM_CHECK_MSG(false, "unknown disk policy kind");
-        return nullptr;
-      };
+      const auto factory = [this] { return make_timeout_policy(); };
       disk = std::make_unique<disk::DiskArray>(array_cfg, factory, 0.0);
     }
 

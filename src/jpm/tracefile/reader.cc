@@ -221,11 +221,24 @@ void TraceReader::decode_chunk(std::size_t i, ChunkBuffer& out) const {
   }
   {
     Cursor pc(payload + 8 + times_bytes, pages_bytes, at + ": pages lane");
+    // The header's data-set size bounds every page (0 leaves it to be
+    // derived, as for an in-memory Trace).
+    const std::uint64_t page_limit = header_.total_pages != 0
+                                         ? header_.total_pages
+                                         : ~std::uint64_t{0};
+    const auto out_of_range = [&](std::uint64_t k, std::uint64_t page) {
+      return TraceFileError(at + ": page " + std::to_string(page) +
+                            " at event " + std::to_string(k) +
+                            " is at or past the declared total_pages " +
+                            std::to_string(header_.total_pages));
+    };
     std::uint64_t page = pc.read_varint("first page");
+    if (page >= page_limit) throw out_of_range(0, page);
     out.pages.push_back(page);
     for (std::uint64_t k = 1; k < n; ++k) {
       page += static_cast<std::uint64_t>(
           zigzag_decode(pc.read_varint("page delta")));
+      if (page >= page_limit) throw out_of_range(k, page);
       out.pages.push_back(page);
     }
     if (pc.remaining() != 0) {
@@ -302,9 +315,7 @@ workload::Trace load_any_trace(const std::string& path) {
   }
   // Legacy JPMT / CSV: the hardened workload reader sniffs and validates;
   // neither format carries geometry, so the derived fields stay zero.
-  const std::vector<workload::TraceEvent> events =
-      workload::load_trace(path);
-  return workload::trace_from_events(events, 0, 0, 0.0);
+  return workload::load_trace(path);
 }
 
 }  // namespace jpm::tracefile

@@ -64,12 +64,13 @@ class TraceReader {
   const std::uint8_t* chunk_data(std::size_t i) const;
 
   // Decodes chunk i into `out` (lanes replaced, capacity reused), verifying
-  // the payload checksum first. Errors name the file, chunk, and position.
+  // the payload checksum first and every page against a nonzero header
+  // total_pages. Errors name the file, chunk, and position.
   void decode_chunk(std::size_t i, ChunkBuffer& out) const;
 
   // Decodes the whole file into a materialized Trace with the header's
-  // derived fields — the bridge back to the in-RAM world (`jpm trace cat`,
-  // format conversion, small files).
+  // derived fields — the bridge back to the in-RAM world (format
+  // conversion, small files).
   workload::Trace read_all() const;
 
   // Re-hashes every decoded event and compares against the header's content

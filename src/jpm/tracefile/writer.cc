@@ -78,10 +78,7 @@ void TraceWriter::append(double t, std::uint64_t page, std::uint8_t flags) {
 }
 
 void TraceWriter::append(const workload::TraceEvent& e) {
-  append(e.time_s, e.page,
-         static_cast<std::uint8_t>(
-             (e.request_start ? workload::kTraceFlagStart : 0) |
-             (e.is_write ? workload::kTraceFlagWrite : 0)));
+  append(e.time_s, e.page, workload::trace_flags(e));
 }
 
 void TraceWriter::flush_chunk() {

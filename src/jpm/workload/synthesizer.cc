@@ -187,13 +187,6 @@ std::uint64_t TraceGenerator::total_pages() const {
   return ceil_div(impl_->files.total_bytes(), impl_->config.page_bytes);
 }
 
-std::vector<TraceEvent> synthesize(const SynthesizerConfig& config) {
-  TraceGenerator gen(config);
-  std::vector<TraceEvent> out;
-  while (auto e = gen.next()) out.push_back(*e);
-  return out;
-}
-
 Trace synthesize_trace(const SynthesizerConfig& config) {
   TraceGenerator gen(config);
   Trace trace;

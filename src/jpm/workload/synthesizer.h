@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "jpm/util/rng.h"
 #include "jpm/util/units.h"
@@ -81,9 +80,6 @@ class TraceGenerator {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-// Materializes a whole trace (convenience for tests and small runs).
-std::vector<TraceEvent> synthesize(const SynthesizerConfig& config);
 
 // Materializes the configured workload once into an immutable Trace with all
 // derived fields (total_pages, duration) filled from the generator, so the

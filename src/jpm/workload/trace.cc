@@ -1,7 +1,6 @@
 #include "jpm/workload/trace.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -56,53 +55,6 @@ TraceExtent validate_trace(const Trace& trace) {
   JPM_CHECK_MSG(max_page < extent.total_pages,
                 "trace pages exceed the declared data-set size");
   return extent;
-}
-
-Trace trace_from_events(const std::vector<TraceEvent>& events,
-                        std::uint64_t page_bytes, std::uint64_t total_pages,
-                        double duration_s) {
-  Trace t;
-  t.reserve(events.size());
-  for (const auto& e : events) t.push_back(e);
-  t.page_bytes = page_bytes;
-  t.total_pages = total_pages;
-  t.duration_s = duration_s;
-  return t;
-}
-
-TraceSummary summarize(const std::vector<TraceEvent>& trace,
-                       std::uint64_t page_bytes) {
-  TraceSummary s;
-  std::unordered_set<std::uint64_t> pages;
-  pages.reserve(trace.size() / 4 + 1);
-  for (const auto& e : trace) {
-    ++s.events;
-    if (e.request_start) ++s.requests;
-    if (e.is_write) ++s.writes;
-    pages.insert(e.page);
-  }
-  s.distinct_pages = pages.size();
-  if (!trace.empty()) s.duration_s = trace.back().time_s - trace.front().time_s;
-  s.bytes_accessed =
-      static_cast<double>(s.events) * static_cast<double>(page_bytes);
-  return s;
-}
-
-TraceSummary summarize(const Trace& trace) {
-  TraceSummary s;
-  std::unordered_set<std::uint64_t> pages;
-  pages.reserve(trace.size() / 4 + 1);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    ++s.events;
-    if (trace.flags[i] & kTraceFlagStart) ++s.requests;
-    if (trace.flags[i] & kTraceFlagWrite) ++s.writes;
-    pages.insert(trace.pages[i]);
-  }
-  s.distinct_pages = pages.size();
-  if (!trace.empty()) s.duration_s = trace.times.back() - trace.times.front();
-  s.bytes_accessed =
-      static_cast<double>(s.events) * static_cast<double>(trace.page_bytes);
-  return s;
 }
 
 }  // namespace jpm::workload

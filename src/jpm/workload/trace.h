@@ -22,10 +22,18 @@ struct TraceEvent {
 inline constexpr std::uint8_t kTraceFlagStart = 1u << 0;
 inline constexpr std::uint8_t kTraceFlagWrite = 1u << 1;
 
+// The one TraceEvent -> flag-bits encoding every trace sink shares.
+inline std::uint8_t trace_flags(const TraceEvent& e) {
+  return static_cast<std::uint8_t>((e.request_start ? kTraceFlagStart : 0) |
+                                   (e.is_write ? kTraceFlagWrite : 0));
+}
+
 // A fully materialized, immutable trace: synthesized (or loaded) once and
-// then shared read-only by any number of concurrent engine replays. The
-// derived fields are filled by synthesize_trace (synthesizer.h) so a replay
-// is bit-identical to a generator-driven run of the same config.
+// then shared read-only by any number of concurrent engine replays. It is
+// the only materialized event container; TraceEvent is one event in flight
+// (a generator's output, a sink's input). The derived fields are filled by
+// synthesize_trace (synthesizer.h) so a replay is bit-identical to a
+// generator-driven run of the same config.
 //
 // Events are stored structure-of-arrays: the replay hot loop streams
 // timestamps, page ids, and op flags as independent densely packed lanes
@@ -50,14 +58,7 @@ struct Trace {
   void push_back(const TraceEvent& e) {
     times.push_back(e.time_s);
     pages.push_back(e.page);
-    flags.push_back(
-        static_cast<std::uint8_t>((e.request_start ? kTraceFlagStart : 0) |
-                                  (e.is_write ? kTraceFlagWrite : 0)));
-  }
-  // By-value event view for callers indexing the AoS way.
-  TraceEvent event(std::size_t i) const {
-    return TraceEvent{times[i], pages[i], (flags[i] & kTraceFlagStart) != 0,
-                      (flags[i] & kTraceFlagWrite) != 0};
+    flags.push_back(trace_flags(e));
   }
 };
 
@@ -71,27 +72,10 @@ struct TraceExtent {
 // Checks a trace before replay and returns its extent: duration_s, or the
 // last event time when 0; total_pages, or the largest page + 1 when 0.
 // Fails (JPM_CHECK) on an empty trace, on times that are unsorted or NaN,
-// and on pages at or above total_pages. One pass over the time and page
-// lanes: call it once per trace, not once per replay of a shared trace.
+// and on pages at or above total_pages. The one extent and validity rule:
+// in-memory replay and `jpm trace pack` both apply it. One pass over the
+// time and page lanes: call it once per trace, not once per replay of a
+// shared trace.
 TraceExtent validate_trace(const Trace& trace);
-
-// Builds a Trace from an AoS event vector plus the derived fields.
-Trace trace_from_events(const std::vector<TraceEvent>& events,
-                        std::uint64_t page_bytes, std::uint64_t total_pages,
-                        double duration_s);
-
-// Materialized trace plus summary properties used by harness reporting.
-struct TraceSummary {
-  std::uint64_t events = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t distinct_pages = 0;
-  double duration_s = 0.0;
-  double bytes_accessed = 0.0;  // events * page_bytes
-};
-
-TraceSummary summarize(const std::vector<TraceEvent>& trace,
-                       std::uint64_t page_bytes);
-TraceSummary summarize(const Trace& trace);
 
 }  // namespace jpm::workload

@@ -22,37 +22,19 @@ struct PackedEvent {
 };
 static_assert(sizeof(PackedEvent) == 24);
 
-constexpr std::uint8_t kFlagStart = 1u << 0;
-constexpr std::uint8_t kFlagWrite = 1u << 1;
+constexpr std::uint8_t kFlagMask = kTraceFlagStart | kTraceFlagWrite;
 
-void check_monotonic(const std::vector<TraceEvent>& trace) {
+void check_monotonic(const Trace& trace) {
   double prev = -1.0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    JPM_CHECK_MSG(trace[i].time_s >= prev,
+    JPM_CHECK_MSG(trace.times[i] >= prev,
                   "trace timestamps must be nondecreasing (record "
                       << i << " goes backwards)");
-    prev = trace[i].time_s;
+    prev = trace.times[i];
   }
 }
 
 }  // namespace
-
-void write_binary_trace(std::ostream& os,
-                        const std::vector<TraceEvent>& trace) {
-  os.write(kMagic, sizeof kMagic);
-  const std::uint32_t version = kVersion;
-  const std::uint64_t count = trace.size();
-  os.write(reinterpret_cast<const char*>(&version), sizeof version);
-  os.write(reinterpret_cast<const char*>(&count), sizeof count);
-  for (const auto& e : trace) {
-    const std::uint8_t flags =
-        static_cast<std::uint8_t>((e.request_start ? kFlagStart : 0) |
-                                  (e.is_write ? kFlagWrite : 0));
-    PackedEvent p{e.time_s, e.page, flags, {}};
-    os.write(reinterpret_cast<const char*>(&p), sizeof p);
-  }
-  JPM_CHECK_MSG(os.good(), "trace write failed");
-}
 
 void write_binary_trace(std::ostream& os, const Trace& trace) {
   os.write(kMagic, sizeof kMagic);
@@ -61,15 +43,14 @@ void write_binary_trace(std::ostream& os, const Trace& trace) {
   os.write(reinterpret_cast<const char*>(&version), sizeof version);
   os.write(reinterpret_cast<const char*>(&count), sizeof count);
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto flags =
-        static_cast<std::uint8_t>(trace.flags[i] & (kFlagStart | kFlagWrite));
+    const auto flags = static_cast<std::uint8_t>(trace.flags[i] & kFlagMask);
     PackedEvent p{trace.times[i], trace.pages[i], flags, {}};
     os.write(reinterpret_cast<const char*>(&p), sizeof p);
   }
   JPM_CHECK_MSG(os.good(), "trace write failed");
 }
 
-std::vector<TraceEvent> read_binary_trace(std::istream& is) {
+Trace read_binary_trace(std::istream& is) {
   char magic[4];
   is.read(magic, sizeof magic);
   JPM_CHECK_MSG(is.good() && std::memcmp(magic, kMagic, 4) == 0,
@@ -103,7 +84,7 @@ std::vector<TraceEvent> read_binary_trace(std::istream& is) {
     }
   }
 
-  std::vector<TraceEvent> trace;
+  Trace trace;
   trace.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     PackedEvent p;
@@ -111,34 +92,36 @@ std::vector<TraceEvent> read_binary_trace(std::istream& is) {
     JPM_CHECK_MSG(is.good(), "trace truncated at record "
                                  << i << " of " << count << " (byte offset "
                                  << 16 + i * sizeof(PackedEvent) << ")");
-    trace.push_back(TraceEvent{p.time_s, p.page, (p.flags & kFlagStart) != 0,
-                               (p.flags & kFlagWrite) != 0});
+    trace.times.push_back(p.time_s);
+    trace.pages.push_back(p.page);
+    trace.flags.push_back(static_cast<std::uint8_t>(p.flags & kFlagMask));
   }
   check_monotonic(trace);
   return trace;
 }
 
-void read_binary_trace(std::istream& is, Trace& out) {
-  const std::vector<TraceEvent> events = read_binary_trace(is);
-  out.times.clear();
-  out.pages.clear();
-  out.flags.clear();
-  out.reserve(events.size());
-  for (const auto& e : events) out.push_back(e);
+void write_csv_header(std::ostream& os) {
+  os << "time_s,page,request_start,is_write\n";
 }
 
-void write_csv_trace(std::ostream& os, const std::vector<TraceEvent>& trace) {
-  os << "time_s,page,request_start,is_write\n";
+void write_csv_row(std::ostream& os, double time_s, std::uint64_t page,
+                   std::uint8_t flags) {
   os.precision(9);
-  for (const auto& e : trace) {
-    os << std::fixed << e.time_s << ',' << e.page << ','
-       << (e.request_start ? 1 : 0) << ',' << (e.is_write ? 1 : 0) << '\n';
+  os << std::fixed << time_s << ',' << page << ','
+     << ((flags & kTraceFlagStart) != 0 ? 1 : 0) << ','
+     << ((flags & kTraceFlagWrite) != 0 ? 1 : 0) << '\n';
+}
+
+void write_csv_trace(std::ostream& os, const Trace& trace) {
+  write_csv_header(os);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    write_csv_row(os, trace.times[i], trace.pages[i], trace.flags[i]);
   }
   JPM_CHECK_MSG(os.good(), "trace write failed");
 }
 
-std::vector<TraceEvent> read_csv_trace(std::istream& is) {
-  std::vector<TraceEvent> trace;
+Trace read_csv_trace(std::istream& is) {
+  Trace trace;
   std::string line;
   bool first = true;
   while (std::getline(is, line)) {
@@ -168,8 +151,7 @@ std::vector<TraceEvent> read_csv_trace(std::istream& is) {
   return trace;
 }
 
-void save_trace(const std::string& path,
-                const std::vector<TraceEvent>& trace) {
+void save_trace(const std::string& path, const Trace& trace) {
   const bool csv = path.size() >= 4 && path.substr(path.size() - 4) == ".csv";
   std::ofstream os(path, csv ? std::ios::out : std::ios::out | std::ios::binary);
   JPM_CHECK_MSG(os.is_open(), "cannot open for writing: " + path);
@@ -209,7 +191,7 @@ TraceFormat sniff_trace_format(std::istream& is, const std::string& name) {
   return TraceFormat::kCsv;
 }
 
-std::vector<TraceEvent> load_trace(const std::string& path) {
+Trace load_trace(const std::string& path) {
   std::ifstream is(path, std::ios::in | std::ios::binary);
   JPM_CHECK_MSG(is.is_open(), "cannot open for reading: " + path);
   switch (sniff_trace_format(is, path)) {

@@ -12,26 +12,28 @@
 // unsorted trace fails fast instead of corrupting a simulation.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "jpm/workload/trace.h"
 
 namespace jpm::workload {
 
-void write_binary_trace(std::ostream& os, const std::vector<TraceEvent>& trace);
-std::vector<TraceEvent> read_binary_trace(std::istream& is);
-
-// SoA-lane forms: stream Trace lanes to/from the same binary format without
-// materializing an AoS copy. read_binary_trace(is, out) replaces out's event
-// lanes; the derived fields (page_bytes/total_pages/duration_s) are the
-// caller's to set — the trace format does not carry them.
+// Every reader and writer works on Trace lanes. Neither format carries the
+// derived fields, so a loaded Trace has page_bytes/total_pages/duration_s
+// zero for the caller to fill.
 void write_binary_trace(std::ostream& os, const Trace& trace);
-void read_binary_trace(std::istream& is, Trace& out);
+Trace read_binary_trace(std::istream& is);
 
-void write_csv_trace(std::ostream& os, const std::vector<TraceEvent>& trace);
-std::vector<TraceEvent> read_csv_trace(std::istream& is);
+// The CSV row format: write_csv_header once, then write_csv_row per event
+// (fixed-point times, 9 decimals). write_csv_trace is exactly that over a
+// whole Trace; `jpm trace cat` streams the same rows chunk by chunk.
+void write_csv_header(std::ostream& os);
+void write_csv_row(std::ostream& os, double time_s, std::uint64_t page,
+                   std::uint8_t flags);
+void write_csv_trace(std::ostream& os, const Trace& trace);
+Trace read_csv_trace(std::istream& is);
 
 // On-disk trace flavors distinguishable from their leading bytes.
 enum class TraceFormat {
@@ -49,7 +51,7 @@ TraceFormat sniff_trace_format(std::istream& is, const std::string& name);
 // CSV, anything else = JPMT binary); loading sniffs the content instead and
 // rejects JPMC files with a pointer to jpm::tracefile (which owns the
 // chunked reader). Throw CheckError on IO failure or format mismatch.
-void save_trace(const std::string& path, const std::vector<TraceEvent>& trace);
-std::vector<TraceEvent> load_trace(const std::string& path);
+void save_trace(const std::string& path, const Trace& trace);
+Trace load_trace(const std::string& path);
 
 }  // namespace jpm::workload

@@ -7,11 +7,15 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
 
 #include <sys/wait.h>
+
+#include "jpm/workload/synthesizer.h"
+#include "jpm/workload/trace_io.h"
 
 namespace {
 
@@ -226,6 +230,66 @@ TEST(CliTest, TracePackConvertsCsvCaptures) {
   std::remove(packed.c_str());
 }
 
+// `jpm trace pack` applies the replay rule (workload::validate_trace): what
+// it packs, an in-memory replay of the same events would accept.
+TEST(CliTest, TracePackRejectsWhatReplayWouldReject) {
+  const std::string packed = ::testing::TempDir() + "cli_rejected.jpmc";
+  const auto csv = write_temp("cli_trace_past.csv",
+                              "time_s,page,request_start\n"
+                              "0.5,3,1\n1.0,500,1\n");
+  const auto past = run_cmd(kCli + " trace pack " + csv + " " + packed +
+                            " --total-pages=10");
+  EXPECT_EQ(past.exit_code, 1) << past.output;
+  EXPECT_NE(past.output.find("trace pages exceed the declared data-set size"),
+            std::string::npos)
+      << past.output;
+  // The same file with room for page 500 packs.
+  EXPECT_EQ(run_cmd(kCli + " trace pack " + csv + " " + packed +
+                    " --total-pages=501")
+                .exit_code,
+            0);
+
+  const auto empty = write_temp("cli_trace_empty.csv",
+                                "time_s,page,request_start\n");
+  const auto none = run_cmd(kCli + " trace pack " + empty + " " + packed);
+  EXPECT_EQ(none.exit_code, 1) << none.output;
+  EXPECT_NE(none.output.find("replay trace is empty"), std::string::npos)
+      << none.output;
+  std::remove(packed.c_str());
+}
+
+// `trace cat --format=csv` and write_csv_trace share one row format, so a
+// CSV packed and decoded again comes back byte for byte.
+TEST(CliTest, TraceCatCsvReproducesThePackedCsv) {
+  jpm::workload::SynthesizerConfig w;
+  w.dataset_bytes = 64ull << 20;
+  w.byte_rate = 2e6;
+  w.duration_s = 120.0;
+  w.page_bytes = 64 << 10;
+  w.write_fraction = 0.3;  // both flag columns vary
+  const std::string csv = ::testing::TempDir() + "cli_roundtrip.csv";
+  {
+    std::ofstream out(csv);
+    jpm::workload::write_csv_trace(out,
+                                   jpm::workload::synthesize_trace(w));
+  }
+  const std::string packed = ::testing::TempDir() + "cli_roundtrip.jpmc";
+  ASSERT_EQ(run_cmd(kCli + " trace pack " + csv + " " + packed +
+                    " --chunk-events=1000")
+                .exit_code,
+            0);
+  const auto cat = run_cmd(kCli + " trace cat " + packed + " --format=csv");
+  EXPECT_EQ(cat.exit_code, 0);
+  std::ifstream in(csv);
+  const std::string original((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_GT(original.size(), 1000u);
+  EXPECT_TRUE(cat.output == original) << "trace cat output differs from "
+                                      << csv;
+  std::remove(csv.c_str());
+  std::remove(packed.c_str());
+}
+
 TEST(CliTest, TraceInfoRejectsNonJpmcFilesByName) {
   const auto path = write_temp("cli_not_a_trace.jpmc",
                                std::string(100, 'x'));  // a full header's worth
@@ -318,6 +382,24 @@ TEST(CliTest, RunRejectsHarnessOnlyScenariosBeforePrinting) {
     EXPECT_EQ(r.output.find("JPM_CHECK"), std::string::npos) << r.output;
     // Nothing reaches stdout (the subshell drops stderr).
     EXPECT_EQ(run_cmd("(" + run + " 2>/dev/null)").output, "");
+  }
+}
+
+// --telemetry announces <base>.{report.json,trace.json,periods.csv} before
+// the run; a run that then fails still leaves them behind.
+TEST(CliTest, FailingRunStillExportsTheAnnouncedTelemetry) {
+  const std::string base = ::testing::TempDir() + "cli_failed_run";
+  for (const char* ext : {".report.json", ".trace.json", ".periods.csv"}) {
+    std::remove((base + ext).c_str());
+  }
+  const auto r = run_cmd("JPM_BENCH_FAST=1 " + kCli + " run " + kScenarios +
+                         "/models.json --telemetry=" + base);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  ASSERT_NE(r.output.find("telemetry -> " + base), std::string::npos)
+      << r.output;
+  for (const char* ext : {".report.json", ".trace.json", ".periods.csv"}) {
+    EXPECT_TRUE(std::ifstream(base + ext).good()) << base + ext;
+    std::remove((base + ext).c_str());
   }
 }
 

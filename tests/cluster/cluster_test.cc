@@ -6,6 +6,7 @@
 #include <string>
 
 #include "jpm/util/check.h"
+#include "trace_from_events.h"
 
 namespace jpm::cluster {
 namespace {
@@ -102,14 +103,14 @@ TEST(RoutingTest, UnbalancedSpillsPastTheCap) {
 TEST(ChassisUsageTest, AlwaysOnWhenBusy) {
   std::vector<double> times;
   for (int i = 0; i < 100; ++i) times.push_back(i * 10.0);
-  const auto u = chassis_usage(times.data(), times.size(), 1000.0, 600.0);
+  const auto u = chassis_usage(times.data(), times.size(), 1000.0, 600.0, {});
   EXPECT_NEAR(u.on_s, 1000.0, 1e-9);
   EXPECT_EQ(u.power_cycles, 0u);
 }
 
 TEST(ChassisUsageTest, PowersOffAfterIdleTimeout) {
   const double times[] = {10.0};
-  const auto u = chassis_usage(times, 1, 10000.0, 600.0);
+  const auto u = chassis_usage(times, 1, 10000.0, 600.0, {});
   // On from 0 until 10 + 600, then off for the rest.
   EXPECT_NEAR(u.on_s, 610.0, 1e-9);
   EXPECT_EQ(u.power_cycles, 1u);
@@ -117,14 +118,14 @@ TEST(ChassisUsageTest, PowersOffAfterIdleTimeout) {
 
 TEST(ChassisUsageTest, GapInTheMiddleCycles) {
   const double times[] = {10.0, 5000.0};
-  const auto u = chassis_usage(times, 2, 6000.0, 600.0);
+  const auto u = chassis_usage(times, 2, 6000.0, 600.0, {});
   // [0, 610] + [5000, 5600].
   EXPECT_NEAR(u.on_s, 610.0 + 600.0, 1e-9);
   EXPECT_EQ(u.power_cycles, 2u);
 }
 
 TEST(ChassisUsageTest, UntouchedServerPowersOffOnce) {
-  const auto u = chassis_usage(nullptr, 0, 10000.0, 600.0);
+  const auto u = chassis_usage(nullptr, 0, 10000.0, 600.0, {});
   EXPECT_NEAR(u.on_s, 600.0, 1e-9);
   EXPECT_EQ(u.power_cycles, 1u);
 }

@@ -13,6 +13,7 @@
 #include "jpm/core/joint_power_manager.h"
 #include "jpm/disk/disk_array.h"
 #include "jpm/disk/disk_queue.h"
+#include "trace_from_events.h"
 
 namespace jpm {
 namespace {

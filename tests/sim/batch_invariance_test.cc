@@ -17,6 +17,7 @@
 
 #include "jpm/sim/runner.h"
 #include "jpm/workload/trace.h"
+#include "trace_from_events.h"
 
 namespace jpm::sim {
 namespace {

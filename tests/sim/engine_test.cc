@@ -9,6 +9,7 @@
 
 #include "jpm/sim/runner.h"
 #include "jpm/util/check.h"
+#include "trace_from_events.h"
 
 namespace jpm::sim {
 namespace {

@@ -173,7 +173,10 @@ TEST(ReportSchemaTest, PopulatedInProcessReportValidates) {
   e.warm_up_s = 300.0;
 
   start({});
-  sim::run_sweep({sim::SweepWorkload{"128MB", w}},
+  sim::run_sweep({sim::SweepWorkload{.label = "128MB",
+                                     .workload = w,
+                                     .trace_path = "",
+                                     .axes = {}}},
                  {sim::joint_policy(), sim::always_on_policy()}, e);
   const std::string report = report_json();
   stop();
@@ -193,14 +196,18 @@ TEST(ReportSchemaTest, ScenarioProvenanceAppearsInReport) {
           "output": {"header": "", "tables": []}})";
   set_scenario(scenario, "00000000deadbeef");
   start({});
-  sim::run_sweep({sim::SweepWorkload{"64MB", [] {
-                     workload::SynthesizerConfig w;
-                     w.dataset_bytes = mib(64);
-                     w.byte_rate = 20e6;
-                     w.duration_s = 300.0;
-                     w.page_bytes = 64 * kKiB;
-                     return w;
-                   }()}},
+  sim::run_sweep({sim::SweepWorkload{.label = "64MB",
+                                     .workload =
+                                         [] {
+                                           workload::SynthesizerConfig w;
+                                           w.dataset_bytes = mib(64);
+                                           w.byte_rate = 20e6;
+                                           w.duration_s = 300.0;
+                                           w.page_bytes = 64 * kKiB;
+                                           return w;
+                                         }(),
+                                     .trace_path = "",
+                                     .axes = {}}},
                  {sim::always_on_policy()}, [] {
                    sim::EngineConfig e;
                    e.joint.physical_bytes = gib(1);

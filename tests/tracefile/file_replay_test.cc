@@ -5,6 +5,7 @@
 // while holding only one decoded chunk window in memory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -155,7 +156,9 @@ std::vector<SweepPoint> file_backed_sweep(const char* threads,
                                           const std::string& path) {
   workload::SynthesizerConfig w = replay_workload();
   const EnvVar guard("JPM_THREADS", threads);
-  return run_sweep({SweepWorkload{"128MB", w, path}},
+  return run_sweep({SweepWorkload{
+                       .label = "128MB", .workload = w, .trace_path = path,
+                       .axes = {}}},
                    {joint_policy(), always_on_policy(),
                     fixed_policy(DiskPolicyKind::kTwoCompetitive, mib(64))},
                    replay_engine());
@@ -186,9 +189,33 @@ TEST(FileReplayTest, SweepRejectsPageSizeMismatch) {
   const std::string path = temp_path("mismatch.jpmc");
   tracefile::synthesize_to_file(path, w);
   w.page_bytes = 256 * kKiB;  // scenario geometry disagrees with the file
-  const std::vector<SweepWorkload> points = {SweepWorkload{"128MB", w, path}};
+  const std::vector<SweepWorkload> points = {SweepWorkload{
+      .label = "128MB", .workload = w, .trace_path = path, .axes = {}}};
   const std::vector<PolicySpec> roster = {joint_policy(), always_on_policy()};
   EXPECT_THROW(run_sweep(points, roster, replay_engine()), CheckError);
+  std::remove(path.c_str());
+}
+
+TEST(FileReplayTest, SweepRejectsPagesPastTheDeclaredDataSet) {
+  // The in-memory rule (validate_trace) holds file-backed too: a file whose
+  // header declares fewer pages than its events touch fails the sweep.
+  const workload::SynthesizerConfig w = replay_workload();
+  workload::Trace trace = workload::synthesize_trace(w);
+  // One page short: the largest page touched is now past the end.
+  trace.total_pages = *std::max_element(trace.pages.begin(), trace.pages.end());
+  const std::string path = temp_path("past_total_pages.jpmc");
+  tracefile::write_trace_file(path, trace, {.chunk_events = 8192});
+  const std::vector<SweepWorkload> points = {SweepWorkload{
+      .label = "128MB", .workload = w, .trace_path = path, .axes = {}}};
+  try {
+    run_sweep(points, {joint_policy(), always_on_policy()}, replay_engine());
+    ADD_FAILURE() << "expected TraceFileError";
+  } catch (const tracefile::TraceFileError& e) {
+    EXPECT_NE(std::string(e.what()).find("is at or past the declared "
+                                         "total_pages"),
+              std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 

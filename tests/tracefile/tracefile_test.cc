@@ -320,6 +320,45 @@ TEST_F(TraceFileCorruptionTest, RejectsLaneSizeMismatch) {
             std::string::npos);
 }
 
+TEST(TraceFileTest, DecodeRejectsPageAtOrPastTotalPages) {
+  // The writer records whatever geometry it is given; the reader holds every
+  // decoded page to the header's data-set size, as validate_trace does for
+  // an in-memory trace.
+  workload::Trace trace;
+  trace.page_bytes = 4096;
+  trace.total_pages = 64;
+  trace.duration_s = 2.0;
+  for (int i = 0; i < 300; ++i) {
+    trace.times.push_back(0.005 * i);
+    trace.pages.push_back(static_cast<std::uint64_t>((i * 7) % 64));
+    trace.flags.push_back(workload::kTraceFlagStart);
+  }
+  EXPECT_EQ(error_of(encode(trace, {.chunk_events = 128})), "");
+
+  for (const std::uint64_t bad : {std::uint64_t{64}, std::uint64_t{1} << 40}) {
+    SCOPED_TRACE(bad);
+    workload::Trace past = trace;
+    past.pages[130] = bad;  // chunk 1, event 2
+    const std::string error = error_of(encode(past, {.chunk_events = 128}));
+    EXPECT_NE(error.find("t.jpmc: chunk 1: page " + std::to_string(bad) +
+                         " at event 2 is at or past the declared "
+                         "total_pages 64"),
+              std::string::npos)
+        << error;
+  }
+  workload::Trace first = trace;
+  first.pages[0] = 64;  // the first page of chunk 0 is decoded on its own
+  EXPECT_NE(error_of(encode(first, {.chunk_events = 128}))
+                .find("chunk 0: page 64 at event 0"),
+            std::string::npos);
+
+  // total_pages 0 leaves the data-set size undeclared: any page decodes.
+  workload::Trace undeclared = trace;
+  undeclared.total_pages = 0;
+  undeclared.pages[5] = std::uint64_t{1} << 40;
+  EXPECT_EQ(error_of(encode(undeclared, {.chunk_events = 128})), "");
+}
+
 TEST_F(TraceFileCorruptionTest, VerifyContentHashCatchesHeaderTampering) {
   std::uint64_t hash = 0;
   std::memcpy(&hash, image_.data() + 56, 8);

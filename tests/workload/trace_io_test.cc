@@ -12,17 +12,20 @@
 
 #include "jpm/util/check.h"
 #include "jpm/workload/synthesizer.h"
+#include "trace_from_events.h"
 
 namespace jpm::workload {
 namespace {
 
-std::vector<TraceEvent> sample_trace() {
-  return {
-      {0.5, 100, true},
-      {0.502, 101, false},
-      {1.25, 7, true},
-      {9.75, 100, true},
-  };
+Trace sample_trace() {
+  return trace_from_events(
+      {
+          {0.5, 100, true},
+          {0.502, 101, false},
+          {1.25, 7, true},
+          {9.75, 100, true},
+      },
+      0, 0, 0.0);
 }
 
 TEST(TraceIoTest, BinaryRoundTrip) {
@@ -32,9 +35,9 @@ TEST(TraceIoTest, BinaryRoundTrip) {
   const auto original = sample_trace();
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_DOUBLE_EQ(loaded[i].time_s, original[i].time_s);
-    EXPECT_EQ(loaded[i].page, original[i].page);
-    EXPECT_EQ(loaded[i].request_start, original[i].request_start);
+    EXPECT_DOUBLE_EQ(loaded.times[i], original.times[i]);
+    EXPECT_EQ(loaded.pages[i], original.pages[i]);
+    EXPECT_EQ(loaded.flags[i], original.flags[i]);
   }
 }
 
@@ -45,17 +48,17 @@ TEST(TraceIoTest, CsvRoundTrip) {
   const auto original = sample_trace();
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_NEAR(loaded[i].time_s, original[i].time_s, 1e-6);
-    EXPECT_EQ(loaded[i].page, original[i].page);
-    EXPECT_EQ(loaded[i].request_start, original[i].request_start);
+    EXPECT_NEAR(loaded.times[i], original.times[i], 1e-6);
+    EXPECT_EQ(loaded.pages[i], original.pages[i]);
+    EXPECT_EQ(loaded.flags[i], original.flags[i]);
   }
 }
 
 TEST(TraceIoTest, EmptyTraceRoundTrips) {
   std::stringstream bin, csv;
-  write_binary_trace(bin, std::vector<TraceEvent>{});
+  write_binary_trace(bin, Trace{});
   EXPECT_TRUE(read_binary_trace(bin).empty());
-  write_csv_trace(csv, std::vector<TraceEvent>{});
+  write_csv_trace(csv, Trace{});
   EXPECT_TRUE(read_csv_trace(csv).empty());
 }
 
@@ -157,8 +160,8 @@ TEST(TraceIoTest, CsvHeaderIsOptional) {
   ss << "1.0,5,1\n2.0,6,0\n";
   const auto t = read_csv_trace(ss);
   ASSERT_EQ(t.size(), 2u);
-  EXPECT_EQ(t[0].page, 5u);
-  EXPECT_FALSE(t[1].request_start);
+  EXPECT_EQ(t.pages[0], 5u);
+  EXPECT_EQ(t.flags[1] & kTraceFlagStart, 0);
 }
 
 TEST(TraceIoTest, FileRoundTripBothFormats) {
@@ -169,7 +172,7 @@ TEST(TraceIoTest, FileRoundTripBothFormats) {
   cfg.byte_rate = 20e6;
   cfg.duration_s = 10.0;
   cfg.page_bytes = 64 * kKiB;
-  const auto trace = synthesize(cfg);
+  const auto trace = synthesize_trace(cfg);
   ASSERT_FALSE(trace.empty());
 
   for (const char* name : {"jpm_trace_test.jpmt", "jpm_trace_test.csv"}) {
@@ -177,8 +180,8 @@ TEST(TraceIoTest, FileRoundTripBothFormats) {
     save_trace(path, trace);
     const auto loaded = load_trace(path);
     ASSERT_EQ(loaded.size(), trace.size()) << path;
-    EXPECT_EQ(loaded.front().page, trace.front().page);
-    EXPECT_EQ(loaded.back().page, trace.back().page);
+    EXPECT_EQ(loaded.pages.front(), trace.pages.front());
+    EXPECT_EQ(loaded.pages.back(), trace.pages.back());
     std::remove(path.c_str());
   }
 }

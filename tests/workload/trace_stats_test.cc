@@ -6,24 +6,31 @@
 
 #include "jpm/util/check.h"
 #include "jpm/workload/synthesizer.h"
+#include "trace_from_events.h"
 
 namespace jpm::workload {
 namespace {
 
+// Trace lanes for hand-written events; characterize and the idle-gap
+// probe take page size and duration separately.
+Trace events(const std::vector<TraceEvent>& list) {
+  return trace_from_events(list, 0, 0, 0.0);
+}
+
 TEST(CharacterizeTest, EmptyTraceIsZero) {
-  const auto c = characterize({}, 64 * kKiB);
+  const auto c = characterize(Trace{}, 64 * kKiB);
   EXPECT_EQ(c.events, 0u);
   EXPECT_EQ(c.requests, 0u);
   EXPECT_EQ(c.duration_s, 0.0);
 }
 
 TEST(CharacterizeTest, CountsAndRates) {
-  std::vector<TraceEvent> trace{
+  const Trace trace = events({
       {0.0, 1, true},
       {1.0, 2, true, true},  // a write
       {2.0, 1, true},
       {4.0, 3, true},
-  };
+  });
   const auto c = characterize(trace, kMiB);
   EXPECT_EQ(c.events, 4u);
   EXPECT_EQ(c.requests, 4u);
@@ -41,10 +48,10 @@ TEST(CharacterizeTest, CountsAndRates) {
 TEST(CharacterizeTest, ReuseBucketsByDepth) {
   // Page 1 re-accessed immediately (depth 1 -> bucket 0), then after two
   // intervening distinct pages (depth 3 -> bucket 1).
-  std::vector<TraceEvent> trace{
+  const Trace trace = events({
       {0.0, 1, true}, {1.0, 1, true}, {2.0, 2, true},
       {3.0, 3, true}, {4.0, 1, true},
-  };
+  });
   const auto c = characterize(trace, kMiB);
   ASSERT_GE(c.reuse_depth_pow2.size(), 2u);
   EXPECT_EQ(c.reuse_depth_pow2[0], 1u);  // depth 1
@@ -53,7 +60,7 @@ TEST(CharacterizeTest, ReuseBucketsByDepth) {
 
 TEST(CharacterizeTest, HotFractionDetectsSkew) {
   // 90 accesses to page 0, one access each to pages 1..10.
-  std::vector<TraceEvent> trace;
+  Trace trace;
   for (int i = 0; i < 90; ++i) {
     trace.push_back({static_cast<double>(trace.size()), 0, true});
   }
@@ -74,7 +81,7 @@ TEST(CharacterizeTest, MatchesSynthesizerConfiguration) {
   cfg.page_bytes = 64 * kKiB;
   cfg.rate_modulation = 0.0;
   cfg.seed = 8;
-  const auto trace = synthesize(cfg);
+  const auto trace = synthesize_trace(cfg);
   const auto c = characterize(trace, cfg.page_bytes, cfg.duration_s);
   TraceGenerator gen(cfg);
   const double expected_rate = cfg.byte_rate / gen.mean_request_bytes();
@@ -86,9 +93,9 @@ TEST(CharacterizeTest, MatchesSynthesizerConfiguration) {
 
 TEST(IdleGapsTest, GapsBetweenMissesOnly) {
   // Cache of 2 pages; stream: 1, 2 (misses), 1 (hit), 3 (miss at t=9).
-  std::vector<TraceEvent> trace{
+  const Trace trace = events({
       {0.0, 1, true}, {1.0, 2, true}, {2.0, 1, true}, {9.0, 3, true},
-  };
+  });
   const auto gaps = idle_gaps_at_cache_size(trace, 2, 0.0);
   // Misses at 0, 1, 9 -> gaps 1 and 8.
   ASSERT_EQ(gaps.size(), 2u);
@@ -97,9 +104,9 @@ TEST(IdleGapsTest, GapsBetweenMissesOnly) {
 }
 
 TEST(IdleGapsTest, WindowFiltersShortGaps) {
-  std::vector<TraceEvent> trace{
+  const Trace trace = events({
       {0.0, 1, true}, {1.0, 2, true}, {9.0, 3, true},
-  };
+  });
   const auto gaps = idle_gaps_at_cache_size(trace, 1, 2.0);
   ASSERT_EQ(gaps.size(), 1u);
   EXPECT_DOUBLE_EQ(gaps[0], 8.0);
@@ -112,7 +119,7 @@ TEST(IdleGapsTest, BiggerCacheLeavesFewerLongerGaps) {
   cfg.duration_s = 120.0;
   cfg.page_bytes = 64 * kKiB;
   cfg.seed = 10;
-  const auto trace = synthesize(cfg);
+  const auto trace = synthesize_trace(cfg);
   // Note: a bigger cache can report MORE gaps above the window — dense
   // sub-window gaps merge into countable ones — so the invariants are the
   // mean gap length and the raw miss count, not the filtered gap count.
@@ -131,7 +138,7 @@ TEST(IdleGapsTest, BiggerCacheLeavesFewerLongerGaps) {
 }
 
 TEST(IdleGapsTest, RejectsZeroCache) {
-  EXPECT_THROW(idle_gaps_at_cache_size({}, 0, 0.1), CheckError);
+  EXPECT_THROW(idle_gaps_at_cache_size(Trace{}, 0, 0.1), CheckError);
 }
 
 }  // namespace

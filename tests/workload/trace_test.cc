@@ -9,6 +9,7 @@
 
 #include "jpm/util/check.h"
 #include "jpm/util/units.h"
+#include "trace_from_events.h"
 
 namespace jpm::workload {
 namespace {
