@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -312,7 +313,17 @@ jpm::util::json::Value metrics_json(const jpm::sim::RunMetrics& m) {
   return jpm::util::json::Value{std::move(o)};
 }
 
+// Unsyncs the standard streams from C stdio, so std::cin and std::cout
+// read and write through their own buffers rather than one getc/putc per
+// byte. Must run before the command's first stream I/O; `jpm serve` and
+// `jpm synth` use no C stdio.
+void unsync_stdio() {
+  std::ios::sync_with_stdio(false);
+  std::cin.tie(nullptr);
+}
+
 int cmd_serve(const std::vector<std::string>& args) {
+  unsync_stdio();
   std::string file;
   std::string policy_name;
   std::string telemetry_base;
@@ -429,6 +440,7 @@ int cmd_serve(const std::vector<std::string>& args) {
 }
 
 int cmd_synth(const std::vector<std::string>& args) {
+  unsync_stdio();
   std::string file;
   std::uint64_t count = 0;  // 0 = the whole workload
   jpm::stream::WireFormat format = jpm::stream::WireFormat::kJsonl;
@@ -610,8 +622,12 @@ int cmd_trace_pack(const std::vector<std::string>& args) {
   if (trace.page_bytes == 0) trace.page_bytes = 256 * jpm::kKiB;
   if (total_pages != 0) trace.total_pages = total_pages;
   if (duration_s != 0.0) trace.duration_s = duration_s;
-  const jpm::workload::TraceExtent extent =
-      jpm::workload::validate_trace(trace);
+  jpm::workload::TraceExtent extent;
+  try {
+    extent = jpm::workload::validate_trace(trace);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(in_file + ": " + e.what());
+  }
   trace.total_pages = extent.total_pages;
   trace.duration_s = extent.duration_s;
   const auto header =
@@ -715,18 +731,8 @@ int cmd_trace_cat(const std::vector<std::string>& args) {
         jpm::workload::write_csv_row(std::cout, buf.times[k], buf.pages[k],
                                      buf.flags[k]);
       } else {
-        jpm::util::json::Object obj;
-        obj["t"] = jpm::util::json::Value{buf.times[k]};
-        obj["page"] = jpm::util::json::Value{buf.pages[k]};
-        if ((buf.flags[k] & jpm::workload::kTraceFlagStart) != 0) {
-          obj["start"] = jpm::util::json::Value{true};
-        }
-        if ((buf.flags[k] & jpm::workload::kTraceFlagWrite) != 0) {
-          obj["write"] = jpm::util::json::Value{true};
-        }
-        std::cout << jpm::util::json::dump(
-                         jpm::util::json::Value{std::move(obj)})
-                  << '\n';
+        jpm::stream::write_jsonl_event(std::cout, buf.times[k], buf.pages[k],
+                                       buf.flags[k]);
       }
       if (limit != 0 && ++emitted >= limit) return 0;
     }

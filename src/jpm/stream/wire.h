@@ -4,8 +4,13 @@
 //
 //   * JSONL — one JSON object per line, human-writable:
 //       {"t": 12.5, "page": 42, "write": false}
-//     "t" (seconds) and "page" are required; "write" defaults to false.
-//     Blank lines and lines starting with '#' are skipped.
+//     "t" (seconds) and "page" are required; "write" defaults to false;
+//     other keys are ignored. Blank lines and lines starting with '#' are
+//     skipped. The writer emits one canonical line,
+//       {"t":12.5,"page":42}  plus ,"start":true and/or ,"write":true
+//     which the reader decodes with a byte scanner; any other line (and
+//     any canonical line whose values fail a check) goes to the general
+//     JSON parser, the one source of decode errors.
 //
 //   * Binary — length-prefixed little-endian records for high-rate pipes:
 //       u32 payload_len (>= 17) | f64 time_s | u64 page | u8 flags | ...
@@ -49,17 +54,26 @@ class EventReader {
  private:
   Status fail(const std::string& message);
   Status next_jsonl(StreamEvent* out);
+  Status parse_jsonl(StreamEvent* out);
   Status next_binary(StreamEvent* out);
 
   std::istream& in_;
   WireFormat format_;
   std::uint64_t line_ = 0;    // JSONL lines consumed
   std::uint64_t record_ = 0;  // binary records consumed
+  std::string text_;          // the current JSONL line, reused across calls
   std::string error_;
 };
 
-// Appends one event in the given concrete format (kAuto is an error).
+// Appends one event in the given concrete format (kAuto is an error). The
+// JSONL record is t, page and write: the request-start bit travels only in
+// the binary flags byte.
 void write_event(std::ostream& out, const StreamEvent& event,
                  WireFormat format);
+
+// Appends one canonical JSONL line: "start" and "write" appear for the
+// trace flag bits set in `flags`. `jpm trace cat` writes trace rows with it.
+void write_jsonl_event(std::ostream& out, double time_s, std::uint64_t page,
+                       std::uint8_t flags);
 
 }  // namespace jpm::stream

@@ -36,19 +36,27 @@ const char* Value::kind_name(Kind k) {
   return "?";
 }
 
-std::string format_number(double d) {
+char* format_number(double d, char* buf) {
   JPM_CHECK_MSG(std::isfinite(d), "JSON cannot represent NaN or infinity");
+  char* const end = buf + kMaxNumberChars;
   // Integers within the double-exact range print without an exponent or
-  // trailing ".0" — counters stay readable and stable.
+  // trailing ".0" — counters stay readable and stable. The digits are
+  // printf("%.0f")'s, "-0" included.
   if (d == std::floor(d) && std::abs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", d);
-    return buf;
+    const auto whole = static_cast<std::int64_t>(d);
+    if (whole == 0 && std::signbit(d)) *buf++ = '-';
+    const auto res = std::to_chars(buf, end, whole);
+    JPM_CHECK(res.ec == std::errc());
+    return res.ptr;
   }
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, d);
+  const auto res = std::to_chars(buf, end, d);
   JPM_CHECK(res.ec == std::errc());
-  return std::string(buf, res.ptr);
+  return res.ptr;
+}
+
+std::string format_number(double d) {
+  char buf[kMaxNumberChars];
+  return std::string(buf, format_number(d, buf));
 }
 
 namespace {

@@ -84,6 +84,14 @@ class Value {
 // exposed so CSV export and tests format numbers identically to the report.
 std::string format_number(double d);
 
+// Room for any format_number output: sign, 17 significant digits, point and
+// exponent.
+inline constexpr std::size_t kMaxNumberChars = 32;
+
+// format_number into buf[0, kMaxNumberChars) without allocating; returns one
+// past the last character written. For per-event writers.
+char* format_number(double d, char* buf);
+
 // Deterministic serialization. indent < 0 emits compact one-line JSON;
 // indent >= 0 pretty-prints with that many spaces per level.
 std::string dump(const Value& v, int indent = -1);

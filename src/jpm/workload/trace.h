@@ -71,8 +71,9 @@ struct TraceExtent {
 
 // Checks a trace before replay and returns its extent: duration_s, or the
 // last event time when 0; total_pages, or the largest page + 1 when 0.
-// Fails (JPM_CHECK) on an empty trace, on times that are unsorted or NaN,
-// and on pages at or above total_pages. The one extent and validity rule:
+// Throws std::invalid_argument on an empty trace, on times that are
+// unsorted, negative or NaN, and on pages at or above total_pages; the
+// message names the first offending event with its time and page. The one extent and validity rule:
 // in-memory replay and `jpm trace pack` both apply it. One pass over the
 // time and page lanes: call it once per trace, not once per replay of a
 // shared trace.

@@ -5,14 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 
+#include <fcntl.h>
+#include <sys/ioctl.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "jpm/workload/synthesizer.h"
 #include "jpm/workload/trace_io.h"
@@ -157,6 +163,86 @@ TEST(CliTest, ServeDecodeErrorExitsOneButStillReports) {
   EXPECT_NE(r.output.find("line 1"), std::string::npos) << r.output;
 }
 
+TEST(CliTest, ServeRejectsPagePastU64) {
+  for (const char* page : {"1e400", "1.9e19"}) {
+    SCOPED_TRACE(page);
+    const auto r = run_cmd(std::string("printf '{\"t\":0,\"page\":1}\\n") +
+                           "{\"t\":0,\"page\":" + page + "}\\n' | " + kCli +
+                           " serve " + demo_scenario());
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_NE(r.output.find("<stdin>: line 2: \"page\" must be below 2^64"),
+              std::string::npos)
+        << r.output;
+  }
+}
+
+// SIGINT is serve's shutdown path: the run drains what it read, closes its
+// final period, reports with "interrupted": true, and exits 0.
+TEST(CliTest, ServeSigintDrainsAndReportsInterrupted) {
+  const std::string out_path = ::testing::TempDir() + "cli_sigint.out";
+  const std::string scenario = demo_scenario();
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const int out = open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (out < 0 || dup2(fds[0], 0) < 0 || dup2(out, 1) < 0 ||
+        dup2(out, 2) < 0) {
+      _exit(127);
+    }
+    close(fds[0]);
+    close(fds[1]);
+    execl(kCli.c_str(), kCli.c_str(), "serve", scenario.c_str(),
+          "--format=jsonl", static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  close(fds[0]);
+  // The write end stays open, so only the signal can end the run.
+  std::string events;
+  for (int i = 0; i < 100; ++i) {
+    events += "{\"t\":" + std::to_string(i) + ",\"page\":" +
+              std::to_string(i) + "}\n";
+  }
+  ASSERT_EQ(write(fds[1], events.data(), events.size()),
+            static_cast<ssize_t>(events.size()));
+  // serve installs its handler before it starts reading, so once the pipe
+  // is empty the handler is in place and every event has been read.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  int unread = 1;
+  while (unread > 0 && std::chrono::steady_clock::now() < deadline) {
+    ASSERT_EQ(ioctl(fds[1], FIONREAD, &unread), 0);
+    if (unread > 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(unread, 0) << "serve never read its stdin";
+  ASSERT_EQ(kill(pid, SIGINT), 0);
+  int status = 0;
+  pid_t done = 0;
+  while ((done = waitpid(pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (done == 0) {
+    kill(pid, SIGKILL);
+    waitpid(pid, &status, 0);
+  }
+  close(fds[1]);
+  std::ifstream in(out_path);
+  const std::string output((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  ASSERT_EQ(done, pid) << "serve did not exit on SIGINT\n" << output;
+  ASSERT_TRUE(WIFEXITED(status)) << output;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << output;
+  EXPECT_NE(output.find("\"interrupted\": true"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("\"events_processed\": 100"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("\"decode_error\": \"\""), std::string::npos)
+      << output;
+  std::remove(out_path.c_str());
+}
+
 TEST(CliTest, SynthCountEmitsExactlyNEvents) {
   const auto r =
       run_cmd(kCli + " synth " + demo_scenario() + " --count=5");
@@ -240,9 +326,12 @@ TEST(CliTest, TracePackRejectsWhatReplayWouldReject) {
   const auto past = run_cmd(kCli + " trace pack " + csv + " " + packed +
                             " --total-pages=10");
   EXPECT_EQ(past.exit_code, 1) << past.output;
-  EXPECT_NE(past.output.find("trace pages exceed the declared data-set size"),
+  // The input path and the offending event, not the internal check.
+  EXPECT_NE(past.output.find(csv + ": trace pages exceed the declared "
+                                   "data-set size: event 1 (t=1, page 500)"),
             std::string::npos)
       << past.output;
+  EXPECT_EQ(past.output.find("JPM_CHECK"), std::string::npos) << past.output;
   // The same file with room for page 500 packs.
   EXPECT_EQ(run_cmd(kCli + " trace pack " + csv + " " + packed +
                     " --total-pages=501")

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "jpm/sim/runner.h"
 #include "jpm/util/check.h"
@@ -373,10 +374,11 @@ TEST(EngineTest, ReplayRejectsBadTraces) {
         workload::trace_from_events(events, 256 * kKiB, total_pages, 0.0),
         fm(mib(128)), e);
   };
-  EXPECT_THROW(replay({}, 0), CheckError);
-  EXPECT_THROW(replay({{2.0, 1, true}, {1.0, 2, true}}, 0), CheckError);
+  EXPECT_THROW(replay({}, 0), std::invalid_argument);
+  EXPECT_THROW(replay({{2.0, 1, true}, {1.0, 2, true}}, 0),
+               std::invalid_argument);
   // Page 100 is outside a 50-page data set.
-  EXPECT_THROW(replay({{1.0, 100, true}}, 50), CheckError);
+  EXPECT_THROW(replay({{1.0, 100, true}}, 50), std::invalid_argument);
 }
 
 TEST(RunnerTest, SweepNormalizesAgainstAlwaysOn) {

@@ -53,6 +53,17 @@ TEST(JsonFormatNumberTest, IntegersHaveNoDecimalPoint) {
   EXPECT_EQ(format_number(-7.0), "-7");
   // Exact integer counters beyond float32 range stay exponent-free.
   EXPECT_EQ(format_number(123456789012.0), "123456789012");
+  EXPECT_EQ(format_number(-0.0), "-0");  // printf("%.0f")'s spelling
+  EXPECT_EQ(format_number(999999999999999.0), "999999999999999");
+  EXPECT_EQ(format_number(1e15), "1e+15");
+}
+
+TEST(JsonFormatNumberTest, BufferFormMatchesTheStringForm) {
+  for (double d : {0.0, -0.0, 42.0, -7.5, 0.1, 1e15, -2.5e-7, 1.7e300,
+                   0.12345678901234567, -1234567890123456789.0}) {
+    char buf[kMaxNumberChars];
+    EXPECT_EQ(std::string(buf, format_number(d, buf)), format_number(d));
+  }
 }
 
 TEST(JsonFormatNumberTest, FractionsRoundTrip) {

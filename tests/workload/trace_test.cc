@@ -4,10 +4,10 @@
 
 #include <cstddef>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "jpm/util/check.h"
 #include "jpm/util/units.h"
 #include "trace_from_events.h"
 
@@ -27,7 +27,7 @@ Trace ramp(std::size_t n, std::uint64_t total_pages, double duration_s) {
 std::string rejection(const Trace& trace) {
   try {
     validate_trace(trace);
-  } catch (const CheckError& e) {
+  } catch (const std::invalid_argument& e) {
     return e.what();
   }
   return "";
@@ -84,6 +84,34 @@ TEST(TraceValidateTest, PageAtOrAboveTotalPagesIsRejected) {
     t.pages[at] = 49;  // the last page
     EXPECT_EQ(rejection(t), "");
   }
+}
+
+TEST(TraceValidateTest, RejectionNamesTheFirstOffendingEvent) {
+  Trace unsorted = ramp(10, 10, 0.0);
+  unsorted.times[6] = 2.5;  // before event 5's t=6
+  unsorted.times[8] = 1.0;
+  EXPECT_EQ(rejection(unsorted),
+            std::string(kUnsorted) +
+                ": event 6 (t=2.5, page 6) is not at or after t=6");
+
+  Trace negative = ramp(3, 3, 0.0);
+  negative.times[0] = -0.25;
+  EXPECT_EQ(rejection(negative),
+            std::string(kUnsorted) +
+                ": event 0 (t=-0.25, page 0) is not at or after t=0");
+
+  Trace nan = ramp(3, 3, 0.0);
+  nan.times[1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(rejection(nan),
+            std::string(kUnsorted) +
+                ": event 1 (t=nan, page 1) is not at or after t=1");
+
+  Trace past = ramp(10, 50, 0.0);
+  past.pages[3] = 70;
+  past.pages[7] = 50;
+  EXPECT_EQ(rejection(past),
+            std::string(kPages) +
+                ": event 3 (t=4, page 70) is not below total_pages=50");
 }
 
 TEST(TraceValidateTest, DerivesDurationAndTotalPagesLeftZero) {
