@@ -349,18 +349,18 @@ BENCHMARK(BM_SchedulerFanOut)
     ->UseRealTime();
 
 // The spec layer's cost of admission: parsing a checked-in scenario file
-// (the 21 scenarios are all within ~4x of micro.json's size) and emitting
-// its canonical serialization. bytes/s is what `jpm validate scenarios/*`
-// and every bench startup pay.
-std::string micro_scenario_text() {
-  std::ifstream in(spec::scenario_path("micro"), std::ios::binary);
+// (the 22 scenarios run from 1.8 to 7.2 KB; ext_multidisk.json is 2.9 KB)
+// and emitting its canonical serialization. bytes/s is what
+// `jpm validate scenarios/*` and every `jpm run` startup pay.
+std::string corpus_scenario_text() {
+  std::ifstream in(spec::scenario_path("ext_multidisk"), std::ios::binary);
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
 }
 
 void BM_ScenarioParse(benchmark::State& state) {
-  const std::string text = micro_scenario_text();
+  const std::string text = corpus_scenario_text();
   for (auto _ : state) {
     benchmark::DoNotOptimize(spec::parse_scenario(text));
   }
@@ -373,7 +373,7 @@ void BM_ScenarioParse(benchmark::State& state) {
 BENCHMARK(BM_ScenarioParse);
 
 void BM_ScenarioSerialize(benchmark::State& state) {
-  const auto sc = spec::parse_scenario(micro_scenario_text());
+  const auto sc = spec::parse_scenario(corpus_scenario_text());
   std::size_t bytes = 0;
   for (auto _ : state) {
     const std::string out = spec::serialize_scenario(sc);

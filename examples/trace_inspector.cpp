@@ -12,11 +12,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "jpm/disk/disk_model.h"
 #include "jpm/pareto/pareto.h"
 #include "jpm/pareto/timeout_math.h"
 #include "jpm/workload/synthesizer.h"
+#include "jpm/workload/trace.h"
 #include "jpm/workload/trace_io.h"
 #include "jpm/workload/trace_stats.h"
 
@@ -42,7 +45,17 @@ int main(int argc, char** argv) {
     trace = workload::synthesize_trace(cfg);
     std::puts("(demo trace: 4 GiB data set, 20 MB/s, popularity 0.1)");
   } else {
-    trace = workload::load_trace(argv[1]);
+    // Load errors name the file; validate_trace (the replay rule: a
+    // nonempty, time-sorted trace) names the event.
+    std::string prefix;
+    try {
+      trace = workload::load_trace(argv[1]);
+      prefix = std::string(argv[1]) + ": ";
+      workload::validate_trace(trace);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: %s%s\n", prefix.c_str(), e.what());
+      return 1;
+    }
   }
   const double cache_gib = argc > 2 ? std::atof(argv[2]) : 1.0;
   const auto cache_pages =

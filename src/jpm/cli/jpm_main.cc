@@ -2,15 +2,16 @@
 // scenario files (see src/jpm/spec/spec.h and scenarios/).
 //
 //   jpm run <scenario.json> [--telemetry=<base>]
-//       Executes the scenario's sweep and prints its result tables —
-//       byte-identical to the bench harness the scenario was extracted
-//       from. JPM_BENCH_FAST=1 applies the smoke-run schedule, JPM_THREADS
+//       Executes the scenario and prints its output.report: the sweep
+//       tables, or the paper table/figure or extension study the report
+//       names. JPM_BENCH_FAST=1 applies the smoke-run schedule, JPM_THREADS
 //       controls the fan-out (tables are identical for any value).
 //       --telemetry exports <base>.{report.json,trace.json,periods.csv}
 //       with the resolved scenario + content hash embedded in the report.
 //   jpm validate <scenario.json>...
-//       Parses and semantically validates each file; prints one line per
-//       file ("ok <file> sha=<hash>") or the path-named error.
+//       Parses and semantically validates each file — the checks `jpm run`
+//       applies, the shape its output.report reads included; prints one
+//       line per file ("ok <file> sha=<hash>") or the path-named error.
 //   jpm print <scenario.json> [--resolved]
 //       Prints the canonical, fully resolved serialization (defaults filled
 //       in, preset rosters and sweep axes expanded). A checked-in scenario
@@ -67,7 +68,7 @@ namespace {
 
 int usage(std::ostream& os, int code) {
   os << "usage: jpm <command> [args]\n"
-        "  jpm run <scenario.json> [--telemetry=<base>]   execute the sweep\n"
+        "  jpm run <scenario.json> [--telemetry=<base>]   print the report\n"
         "  jpm validate <scenario.json>...                parse + validate\n"
         "  jpm print <scenario.json> [--resolved]         canonical form\n"
         "  jpm hash <scenario.json>                       provenance hash\n"

@@ -6,7 +6,7 @@
 // close part of the remaining gap. These helpers replay a policy over an
 // explicit gap sequence and report the p_d-band energy (static power above
 // standby plus transition energy), enabling exactly that comparison — see
-// bench_timeout_policies.
+// `jpm run scenarios/timeout_policies.json`.
 //
 // Energy accounting per gap of length L under timeout t_o:
 //   L <= t_o:  p_d * L                     (disk stays on)

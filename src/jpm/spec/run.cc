@@ -1,6 +1,5 @@
 #include "jpm/spec/run.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -63,7 +62,7 @@ std::string expand_header(const Scenario& sc) {
   const std::string token = "{measured_min}";
   std::size_t pos = header.find(token);
   if (pos == std::string::npos) return header;
-  // Default ostream formatting, matching the harnesses' `<< minutes`.
+  // Default ostream formatting (`<< minutes`).
   std::ostringstream minutes;
   minutes << measured_minutes(sc);
   do {
@@ -145,58 +144,6 @@ void print_cluster_table(
     }
   }
   std::cout << "\n== cluster sweep ==\n" << t.to_string();
-}
-
-namespace {
-
-// A single-server scenario runs as a sweep normalized against its always-on
-// run. A file with no workload points or no always-on policy is a parameter
-// set for its bench_* harness instead, which `jpm validate` accepts but this
-// driver cannot execute.
-void require_sweep(const Scenario& sc) {
-  const std::string driven =
-      "; jpm run cannot execute it: this file is driven by its bench_* "
-      "harness (bench_" + sc.name + ")";
-  if (sc.workloads.empty()) {
-    throw SpecError("$.workloads: no workload points to sweep" + driven);
-  }
-  if (std::none_of(sc.roster.begin(), sc.roster.end(),
-                   [](const sim::PolicySpec& p) { return p.is_baseline(); })) {
-    throw SpecError("$.roster: no always-on baseline to normalize energy "
-                    "against" + driven);
-  }
-}
-
-}  // namespace
-
-std::vector<sim::SweepPoint> run_scenario(const Scenario& sc,
-                                          const RunOptions& options) {
-  if (!sc.cluster.has_value()) require_sweep(sc);
-  publish_provenance(sc);
-  const std::string header = expand_header(sc);
-  if (!header.empty()) std::cout << header << "\n";
-
-  std::vector<sim::SweepWorkload> workloads;
-  workloads.reserve(sc.workloads.size());
-  for (const auto& point : sc.workloads) {
-    workloads.push_back(sim::SweepWorkload{point.label, point.workload,
-                                           point.trace_path, point.axes});
-  }
-
-  if (sc.cluster.has_value()) {
-    const auto points = cluster::run_cluster_sweep(
-        cluster_config(sc), workloads, sc.roster, options.progress);
-    print_cluster_table(points);
-    return {};
-  }
-
-  const auto points =
-      sim::run_sweep(workloads, sc.roster, sc.engine, options.progress);
-
-  for (const auto& table : sc.output.tables) {
-    print_metric_table(table.title, points, table.metric);
-  }
-  return points;
 }
 
 }  // namespace jpm::spec

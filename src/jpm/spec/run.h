@@ -1,11 +1,9 @@
-// Executing a Scenario: the shared driver behind `jpm run` and the migrated
-// bench harnesses.
+// Executing a Scenario: the driver behind `jpm run`.
 //
 // A scenario file always stores the full-scale experiment (paper durations).
 // The JPM_BENCH_FAST=1 smoke mode is a *transform* of those numbers —
 // apply_fast_mode halves the warm-up and quarters the measured window — so
-// one checked-in file serves both modes and both producers (`jpm run`,
-// bench binaries) print byte-identical tables for the same mode.
+// one checked-in file serves both modes.
 #pragma once
 
 #include <cstdio>
@@ -18,8 +16,7 @@
 
 namespace jpm::spec {
 
-// The paper-harness cell formatters. Shared (bench_common.h delegates here)
-// so spec-driven tables are byte-identical to hand-written ones.
+// The cell formatters of every report table.
 inline std::string pct(double fraction) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.1f%%", fraction * 100.0);
@@ -45,13 +42,12 @@ bool fast_mode();
 // build-time default (<source>/scenarios).
 std::string scenario_dir();
 
-// "<scenario_dir()>/<name>.json" — how harnesses name their scenario.
+// "<scenario_dir()>/<name>.json": a checked-in scenario by name.
 std::string scenario_path(const std::string& name);
 
 // Rescales the scenario in place to the smoke-run schedule: warm-up is
 // halved, the measured window (each workload's duration minus the engine
-// warm-up) is quartered. Equals the bench harnesses' historical fast-mode
-// numbers (e.g. 1200 s + 3600 s -> 600 s + 900 s).
+// warm-up) is quartered (e.g. 1200 s + 3600 s -> 600 s + 900 s).
 void apply_fast_mode(Scenario& sc);
 
 // Loads a scenario file and applies the fast transform when JPM_BENCH_FAST
@@ -62,14 +58,14 @@ Scenario load_for_run(const std::string& path);
 double measured_minutes(const Scenario& sc);
 
 // The scenario header with "{measured_min}" expanded (default ostream
-// formatting, matching the harnesses' `<< minutes` output).
+// formatting of the minutes).
 std::string expand_header(const Scenario& sc);
 
 // One cell of a result table.
 std::string format_metric(Metric metric, const sim::RunOutcome& outcome);
 
-// Renders one metric across the sweep exactly like the bench harnesses:
-// rows = roster policies, columns = sweep points.
+// Renders one metric across the sweep: rows = roster policies, columns =
+// sweep points.
 void print_metric_table(const std::string& title,
                         const std::vector<sim::SweepPoint>& points,
                         Metric metric);
@@ -79,8 +75,7 @@ void print_metric_table(const std::string& title,
 void publish_provenance(const Scenario& sc);
 
 struct RunOptions {
-  // Per-run progress lines (serialized, any order); bench harnesses pass
-  // their stderr progress printer.
+  // Per-run progress lines (serialized); `jpm run` prints them to stderr.
   std::function<void(const std::string&)> progress;
 };
 
@@ -90,18 +85,18 @@ struct RunOptions {
 void print_cluster_table(const std::vector<cluster::ClusterSweepPoint>& points);
 
 // The full driver: publishes provenance, prints the expanded header (when
-// non-empty), executes the sweep, prints every configured table, and returns
-// the sweep points for bespoke post-processing. A single-server scenario
-// with no workload points or no always-on baseline in its roster (the
-// parameter files of bench_* harnesses) is rejected with a SpecError naming
-// `$.workloads` or `$.roster`, before anything is printed or simulated.
+// non-empty), and runs and prints the scenario's output.report. The
+// scenario must have passed validate_scenario, which checks the shape the
+// report reads.
 //
-// Scenarios with a cluster section instead run every roster policy's
-// ClusterEngine at every workload point (no always-on baseline required —
-// cluster metrics are absolute) and print the fixed cluster summary table;
-// `output.tables`, which name single-server sweep metrics, are ignored, and
-// the return value is empty. Use cluster::run_cluster_sweep directly for
-// bespoke post-processing of cluster outcomes.
+// The sweep reports (kSweep, kAccesses) execute the sweep, print every
+// `output.tables` metric table (kAccesses adds the memory-access table),
+// and return the sweep points for post-processing. A kSweep scenario with a
+// cluster section instead runs every roster policy's ClusterEngine at every
+// workload point (cluster metrics are absolute, so no baseline) and prints
+// the fixed cluster summary table; `output.tables` are ignored. Every other
+// report prints its own tables (spec/report.cc), and the return value is
+// empty.
 std::vector<sim::SweepPoint> run_scenario(const Scenario& sc,
                                           const RunOptions& options = {});
 

@@ -79,6 +79,24 @@ constexpr EnumName<Metric> kMetricNames[] = {
     {"disk_shutdowns", Metric::kDiskShutdowns},
     {"hit_pct", Metric::kHitPct},
 };
+constexpr EnumName<Report> kReportNames[] = {
+    {"sweep", Report::kSweep},
+    {"accesses", Report::kAccesses},
+    {"models", Report::kModels},
+    {"pareto_cdf", Report::kParetoCdf},
+    {"timeline", Report::kTimeline},
+    {"period", Report::kPeriod},
+    {"bank", Report::kBank},
+    {"ablation", Report::kAblation},
+    {"timeout_policies", Report::kTimeoutPolicies},
+    {"multidisk", Report::kMultidisk},
+    {"drpm", Report::kDrpm},
+    {"writes", Report::kWrites},
+    {"devices", Report::kDevices},
+    {"partition", Report::kPartition},
+    {"distribution", Report::kDistribution},
+    {"faults", Report::kFaults},
+};
 
 template <typename E, std::size_t N>
 const char* enum_to_name(E value, const EnumName<E> (&names)[N]) {
@@ -752,6 +770,7 @@ namespace {
 OutputSpec output_from_json(const Value& v, const std::string& path) {
   OutputSpec out;
   ObjectReader r(v, path);
+  r.enum_field("report", &out.report, kReportNames);
   r.field("header", &out.header);
   if (const Value* tables = r.child("tables")) {
     if (!tables->is_array()) {
@@ -769,6 +788,7 @@ OutputSpec output_from_json(const Value& v, const std::string& path) {
 
 Value output_to_json(const OutputSpec& out) {
   Object o;
+  o["report"] = Value{enum_to_name(out.report, kReportNames)};
   o["header"] = Value{out.header};
   Array tables;
   for (const auto& t : out.tables) {
@@ -903,6 +923,91 @@ void validate_scenario(const Scenario& sc) {
   }
   if (sc.stream.has_value()) {
     validate_at("$.stream", [&] { stream::validate(*sc.stream); });
+  }
+  check_report_shape(sc);
+}
+
+namespace {
+
+// What a report reads from the scenario: at least `workloads` points and
+// `roster` entries (the bespoke reports index them by position), exactly
+// one always-on entry when it normalizes against the roster's baseline,
+// and a cluster section exactly when it simulates a cluster.
+struct ReportShape {
+  std::size_t workloads = 0;
+  std::size_t roster = 0;
+  bool baseline = false;
+  bool cluster = false;
+};
+
+ReportShape report_shape(Report report) {
+  switch (report) {
+    case Report::kSweep:
+    case Report::kAccesses:
+    case Report::kDrpm:
+      return {1, 1, true, false};
+    case Report::kModels:
+    case Report::kParetoCdf:
+    case Report::kTimeoutPolicies:
+      return {};
+    case Report::kTimeline:
+    case Report::kMultidisk:
+    case Report::kDevices:
+      return {1, 1, false, false};
+    case Report::kPeriod:
+    case Report::kBank:
+    case Report::kAblation:
+    case Report::kWrites:
+      return {1, 2, false, false};
+    case Report::kPartition:
+      return {2, 0, false, false};
+    case Report::kDistribution:
+      return {1, 1, false, true};
+    case Report::kFaults:
+      return {2, 1, false, true};
+  }
+  JPM_CHECK_MSG(false, "unknown report");
+  return {};
+}
+
+}  // namespace
+
+void check_report_shape(const Scenario& sc) {
+  // A sweep with a cluster section runs every roster policy's cluster; its
+  // metrics are absolute, so it needs no baseline.
+  const bool cluster_sweep =
+      sc.output.report == Report::kSweep && sc.cluster.has_value();
+  const ReportShape need = cluster_sweep ? ReportShape{1, 1, false, true}
+                                         : report_shape(sc.output.report);
+  const std::string report = std::string("report \"") +
+                             enum_to_name(sc.output.report, kReportNames) +
+                             "\"";
+  if (sc.cluster.has_value() != need.cluster) {
+    fail("$.cluster", need.cluster ? report + " needs a cluster section"
+                                   : report + " does not use a cluster "
+                                              "section");
+  }
+  if (sc.workloads.size() < need.workloads) {
+    fail("$.workloads", report + " needs at least " +
+                            std::to_string(need.workloads) +
+                            " workload point(s), got " +
+                            std::to_string(sc.workloads.size()));
+  }
+  if (sc.roster.size() < need.roster) {
+    fail("$.roster", report + " needs at least " +
+                         std::to_string(need.roster) +
+                         " roster entries, got " +
+                         std::to_string(sc.roster.size()));
+  }
+  if (need.baseline) {
+    const auto baselines =
+        std::count_if(sc.roster.begin(), sc.roster.end(),
+                      [](const sim::PolicySpec& p) { return p.is_baseline(); });
+    if (baselines != 1) {
+      fail("$.roster", report + " needs exactly one always-on baseline to "
+                                "normalize energy against, got " +
+                                std::to_string(baselines));
+    }
   }
 }
 

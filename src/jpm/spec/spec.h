@@ -4,9 +4,8 @@
 // jpm/util/json: workload synthesizer, engine (joint constants, RDRAM and
 // disk parameters, fault plan), policy specs and rosters, and the cluster
 // extension — composed into one Scenario{workloads, roster, engine, output}
-// that `jpm run` and the bench harnesses execute. Configs become data: a new
-// (dataset, rate, popularity, policy, fault) point is a JSON edit, not a
-// recompile.
+// that `jpm run` executes. Configs become data: a new (dataset, rate,
+// popularity, policy, fault) point is a JSON edit, not a recompile.
 //
 // Contracts:
 //   * Round-trip is byte-identical: serialize(parse(serialize(x))) ==
@@ -76,8 +75,7 @@ struct WorkloadGrid {
 };
 
 // One result table of a sweep run: rows = roster policies, columns = the
-// workload points, cells = `metric` of each outcome (formatted exactly as
-// the bench harnesses format it).
+// workload points, cells = `metric` of each outcome.
 enum class Metric {
   kTotalPct,        // total energy, % of always-on
   kDiskPct,         // disk energy, % of always-on disk
@@ -98,8 +96,35 @@ struct TableSpec {
   Metric metric = Metric::kTotalPct;
 };
 
+// What `jpm run` prints for a scenario. kSweep is the general driver: one
+// metric table per `tables` entry (rows = roster, columns = workload
+// points), or the cluster summary table when a cluster section is present.
+// Every other value names one paper table/figure or extension study; its
+// experiment-defining overrides (bank sizes, period lengths, device presets,
+// fault plans, ...) live in code (spec/report.cc), and the scenario supplies
+// the workloads, roster, engine and cluster they apply to.
+enum class Report {
+  kSweep,
+  kAccesses,         // Table III: the sweep plus memory (disk-cache) accesses
+  kModels,           // Fig. 1 / Table II power models, Fig. 3 worked example
+  kParetoCdf,        // Fig. 5: Pareto idle-length CDFs and timeout guidance
+  kTimeline,         // Fig. 9: per-period disk accesses per roster policy
+  kPeriod,           // Table IV: roster[0] vs period length
+  kBank,             // Table V: roster[0] vs bank size
+  kAblation,         // the joint method's design choices, one at a time
+  kTimeoutPolicies,  // timeout policies vs the offline oracle
+  kMultidisk,        // roster over 1/2/4-spindle striped arrays
+  kDrpm,             // multi-speed vs spin-down disks across the workloads
+  kWrites,           // roster[0] vs write fraction and flush interval
+  kDevices,          // roster across disk device classes
+  kPartition,        // PB-LRU partitioning vs global LRU, two workload classes
+  kDistribution,     // cluster request-distribution schemes
+  kFaults,           // spin-up and server-crash fault injection
+};
+
 struct OutputSpec {
-  // Printed before the sweep runs. The token "{measured_min}" expands to the
+  Report report = Report::kSweep;
+  // Printed before the report runs. The token "{measured_min}" expands to the
   // measured minutes (first workload duration minus engine warm-up), so one
   // header serves both full-scale and JPM_BENCH_FAST runs.
   std::string header;
@@ -210,9 +235,16 @@ std::string serialize_scenario(const Scenario& sc);
 
 // Semantic validation with path-named errors: every workload point, the
 // engine's disk/fault/joint geometry (against each workload's page size),
-// every roster entry (joint halves must pair up; fixed sizes in range), and
-// the cluster section when present.
+// every roster entry (joint halves must pair up; fixed sizes in range), the
+// cluster section when present, and last the shape output.report needs
+// (check_report_shape). A scenario that passes runs under `jpm run`.
 void validate_scenario(const Scenario& sc);
+
+// The part of validate_scenario that output.report owns: enough workload
+// points and roster entries (an always-on baseline for the reports that
+// normalize against one), and a cluster section exactly where the report
+// uses one. Throws SpecError naming $.workloads, $.roster or $.cluster.
+void check_report_shape(const Scenario& sc);
 
 // FNV-1a 64 content hash of the resolved serialization, as 16 hex digits.
 // This is the provenance hash embedded in telemetry run reports.

@@ -127,9 +127,9 @@ std::string report_json() {
   root["ring_capacity"] =
       Value{static_cast<std::uint64_t>(s->options.ring_capacity)};
 
-  // Provenance: when a resolved scenario has been published (jpm::spec /
-  // the bench harnesses), embed it plus its content hash so the report can
-  // be re-run from its own spec.
+  // Provenance: when a resolved scenario has been published (jpm::spec),
+  // embed it plus its content hash so the report can be re-run from its own
+  // spec.
   const std::string scenario = scenario_json();
   if (!scenario.empty()) {
     Value sv;

@@ -14,7 +14,7 @@
 //     a "periods" table, one flat CSV for spreadsheets/pandas.
 //
 // All exporters snapshot under the session mutex but must not race active
-// emitters (join parallel work first — the bench harness and the runner
+// emitters (join parallel work first — `jpm run` and the sweep runner
 // already order things this way).
 #pragma once
 

@@ -54,7 +54,7 @@ enum class Category : std::uint32_t {
   kCluster = 1u << 4,  // cluster routing, crashes, fail-over
   kFault = 1u << 5,    // fault injection outcomes
   kSweep = 1u << 6,    // sweep runner lifecycle
-  kBench = 1u << 7,    // bench harness annotations
+  kBench = 1u << 7,    // reserved for report-driver annotations
   kStream = 1u << 8,   // streaming daemon: overload, watchdog, shutdown
 };
 
@@ -112,8 +112,8 @@ inline bool enabled() {
 // ---- provenance -------------------------------------------------------------
 // The resolved scenario this process is running (serialized by jpm::spec)
 // plus its content hash (16 hex digits, FNV-1a 64 of the serialization).
-// Stored independently of the session lifecycle — harnesses publish whenever
-// the scenario is loaded, before or after start() — and embedded by
+// Stored independently of the session lifecycle — a driver may publish
+// before or after start() — and embedded by
 // report_json() as "scenario" / "scenario_hash" so any report can be re-run
 // from its own spec. `resolved_json` must be a JSON object document.
 void set_scenario(const std::string& resolved_json,

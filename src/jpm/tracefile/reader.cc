@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <utility>
 
 #include <fcntl.h>
@@ -307,13 +308,15 @@ void TraceReader::verify_content_hash() const {
 workload::Trace load_any_trace(const std::string& path) {
   {
     std::ifstream is(path, std::ios::in | std::ios::binary);
-    JPM_CHECK_MSG(is.is_open(), "cannot open for reading: " + path);
+    if (!is.is_open()) {
+      throw std::invalid_argument(path + ": cannot open for reading");
+    }
     if (workload::sniff_trace_format(is, path) ==
         workload::TraceFormat::kChunked) {
       return TraceReader(path).read_all();
     }
   }
-  // Legacy JPMT / CSV: the hardened workload reader sniffs and validates;
+  // Legacy JPMT / CSV: the hardened workload reader sniffs and decodes;
   // neither format carries geometry, so the derived fields stay zero.
   return workload::load_trace(path);
 }

@@ -93,7 +93,7 @@ class TraceReader {
 // binary), or CSV — into a materialized Trace, sniffing the format from the
 // leading bytes. Legacy formats carry no geometry, so page_bytes/
 // total_pages/duration_s are zero and the caller's to fill (JPMC files carry
-// theirs). The ingestion path for `jpm trace pack`.
+// theirs). Errors name `path`. The ingestion path for `jpm trace pack`.
 workload::Trace load_any_trace(const std::string& path);
 
 }  // namespace jpm::tracefile

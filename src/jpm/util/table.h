@@ -1,5 +1,5 @@
-// ASCII table printer for the benchmark harnesses: every bench binary prints
-// the rows/series the paper's corresponding table or figure reports.
+// ASCII table printer for `jpm run`: every report prints the rows/series of
+// the paper's corresponding table or figure.
 #pragma once
 
 #include <cstddef>

@@ -3,8 +3,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
-
-#include "jpm/util/check.h"
+#include <stdexcept>
 
 namespace jpm::workload {
 namespace {
@@ -24,14 +23,8 @@ static_assert(sizeof(PackedEvent) == 24);
 
 constexpr std::uint8_t kFlagMask = kTraceFlagStart | kTraceFlagWrite;
 
-void check_monotonic(const Trace& trace) {
-  double prev = -1.0;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    JPM_CHECK_MSG(trace.times[i] >= prev,
-                  "trace timestamps must be nondecreasing (record "
-                      << i << " goes backwards)");
-    prev = trace.times[i];
-  }
+[[noreturn]] void reject(const std::string& why) {
+  throw std::invalid_argument(why);
 }
 
 }  // namespace
@@ -47,21 +40,24 @@ void write_binary_trace(std::ostream& os, const Trace& trace) {
     PackedEvent p{trace.times[i], trace.pages[i], flags, {}};
     os.write(reinterpret_cast<const char*>(&p), sizeof p);
   }
-  JPM_CHECK_MSG(os.good(), "trace write failed");
+  if (!os.good()) throw std::runtime_error("trace write failed");
 }
 
 Trace read_binary_trace(std::istream& is) {
   char magic[4];
   is.read(magic, sizeof magic);
-  JPM_CHECK_MSG(is.good() && std::memcmp(magic, kMagic, 4) == 0,
-                "not a JPMT trace");
+  if (!is.good() || std::memcmp(magic, kMagic, 4) != 0) {
+    reject("not a JPMT trace (bad magic at byte offset 0)");
+  }
   std::uint32_t version = 0;
   std::uint64_t count = 0;
   is.read(reinterpret_cast<char*>(&version), sizeof version);
   is.read(reinterpret_cast<char*>(&count), sizeof count);
-  JPM_CHECK_MSG(is.good(), "trace header truncated");
-  JPM_CHECK_MSG(version == 1 || version == kVersion,
-                "unsupported trace version " << version);
+  if (!is.good()) reject("trace header truncated (16 bytes expected)");
+  if (version != 1 && version != kVersion) {
+    reject("unsupported trace version " + std::to_string(version) +
+           " at byte offset 4");
+  }
 
   // Bounds-check the declared record count against the remaining stream
   // before allocating: a corrupt or hostile header must not drive a
@@ -75,12 +71,13 @@ Trace read_binary_trace(std::istream& is) {
     if (end_pos != std::istream::pos_type(-1) && end_pos >= body_start) {
       const auto available =
           static_cast<std::uint64_t>(end_pos - body_start);
-      JPM_CHECK_MSG(
-          count <= available / sizeof(PackedEvent),
-          "corrupt trace header: " << count << " records declared but only "
-                                   << available / sizeof(PackedEvent)
-                                   << " fit in the remaining " << available
-                                   << " bytes");
+      if (count > available / sizeof(PackedEvent)) {
+        reject("corrupt trace header: " + std::to_string(count) +
+               " records declared at byte offset 8 but only " +
+               std::to_string(available / sizeof(PackedEvent)) +
+               " fit in the remaining " + std::to_string(available) +
+               " bytes");
+      }
     }
   }
 
@@ -89,14 +86,15 @@ Trace read_binary_trace(std::istream& is) {
   for (std::uint64_t i = 0; i < count; ++i) {
     PackedEvent p;
     is.read(reinterpret_cast<char*>(&p), sizeof p);
-    JPM_CHECK_MSG(is.good(), "trace truncated at record "
-                                 << i << " of " << count << " (byte offset "
-                                 << 16 + i * sizeof(PackedEvent) << ")");
+    if (!is.good()) {
+      reject("trace truncated at record " + std::to_string(i) + " of " +
+             std::to_string(count) + " (byte offset " +
+             std::to_string(16 + i * sizeof(PackedEvent)) + ")");
+    }
     trace.times.push_back(p.time_s);
     trace.pages.push_back(p.page);
     trace.flags.push_back(static_cast<std::uint8_t>(p.flags & kFlagMask));
   }
-  check_monotonic(trace);
   return trace;
 }
 
@@ -117,44 +115,48 @@ void write_csv_trace(std::ostream& os, const Trace& trace) {
   for (std::size_t i = 0; i < trace.size(); ++i) {
     write_csv_row(os, trace.times[i], trace.pages[i], trace.flags[i]);
   }
-  JPM_CHECK_MSG(os.good(), "trace write failed");
+  if (!os.good()) throw std::runtime_error("trace write failed");
 }
 
 Trace read_csv_trace(std::istream& is) {
   Trace trace;
   std::string line;
   bool first = true;
-  while (std::getline(is, line)) {
+  for (std::size_t line_no = 1; std::getline(is, line); ++line_no) {
     if (line.empty()) continue;
     if (first) {
       first = false;
       if (line.rfind("time_s", 0) == 0) continue;  // header
     }
+    const auto malformed = [&] {
+      reject("malformed CSV trace line " + std::to_string(line_no) + ": " +
+             line);
+    };
     std::istringstream row(line);
     TraceEvent e;
     char comma1 = 0, comma2 = 0;
     int start = 0;
     row >> e.time_s >> comma1 >> e.page >> comma2 >> start;
-    JPM_CHECK_MSG(!row.fail() && comma1 == ',' && comma2 == ',',
-                  "malformed CSV trace line: " + line);
+    if (row.fail() || comma1 != ',' || comma2 != ',') malformed();
     e.request_start = start != 0;
     // Optional 4th column (write flag); traces without it are read-only.
     char comma3 = 0;
     int write = 0;
     if (row >> comma3 >> write) {
-      JPM_CHECK_MSG(comma3 == ',', "malformed CSV trace line: " + line);
+      if (comma3 != ',') malformed();
       e.is_write = write != 0;
     }
     trace.push_back(e);
   }
-  check_monotonic(trace);
   return trace;
 }
 
 void save_trace(const std::string& path, const Trace& trace) {
   const bool csv = path.size() >= 4 && path.substr(path.size() - 4) == ".csv";
   std::ofstream os(path, csv ? std::ios::out : std::ios::out | std::ios::binary);
-  JPM_CHECK_MSG(os.is_open(), "cannot open for writing: " + path);
+  if (!os.is_open()) {
+    throw std::runtime_error(path + ": cannot open for writing");
+  }
   if (csv) {
     write_csv_trace(os, trace);
   } else {
@@ -169,7 +171,7 @@ TraceFormat sniff_trace_format(std::istream& is, const std::string& name) {
   const std::streamsize got = is.gcount();
   is.clear();
   is.seekg(start);
-  JPM_CHECK_MSG(got > 0, name + ": empty trace file");
+  if (got <= 0) reject(name + ": empty trace file");
   if (got == 4 && std::memcmp(head, "JPMT", 4) == 0) {
     return TraceFormat::kBinary;
   }
@@ -185,26 +187,28 @@ TraceFormat sniff_trace_format(std::istream& is, const std::string& name) {
       text = false;
     }
   }
-  JPM_CHECK_MSG(text, name +
-                          ": unrecognized trace format (no JPMT/JPMC magic "
-                          "and not CSV text)");
+  if (!text) {
+    reject(name +
+           ": unrecognized trace format (no JPMT/JPMC magic and not CSV "
+           "text)");
+  }
   return TraceFormat::kCsv;
 }
 
 Trace load_trace(const std::string& path) {
   std::ifstream is(path, std::ios::in | std::ios::binary);
-  JPM_CHECK_MSG(is.is_open(), "cannot open for reading: " + path);
-  switch (sniff_trace_format(is, path)) {
-    case TraceFormat::kBinary:
-      return read_binary_trace(is);
-    case TraceFormat::kCsv:
-      return read_csv_trace(is);
-    case TraceFormat::kChunked:
-      JPM_CHECK_MSG(false,
-                    path + ": JPMC chunked trace — decode it with "
-                           "jpm::tracefile::TraceReader (CLI: jpm trace cat)");
+  if (!is.is_open()) reject(path + ": cannot open for reading");
+  const TraceFormat format = sniff_trace_format(is, path);
+  if (format == TraceFormat::kChunked) {
+    reject(path + ": JPMC chunked trace — decode it with "
+                  "jpm::tracefile::TraceReader (CLI: jpm trace cat)");
   }
-  return {};
+  try {
+    return format == TraceFormat::kBinary ? read_binary_trace(is)
+                                          : read_csv_trace(is);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(path + ": " + e.what());
+  }
 }
 
 }  // namespace jpm::workload

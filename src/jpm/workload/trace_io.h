@@ -8,8 +8,10 @@
 // jpm/tracefile/; load_trace recognizes its magic and points there.)
 // Loading sniffs the format from the leading bytes — never the file
 // extension — so a misnamed file fails with a named format error instead of
-// a garbage parse, and validates monotonic timestamps, so a corrupted or
-// unsorted trace fails fast instead of corrupting a simulation.
+// a garbage parse. A reader rejects what it cannot decode with a
+// std::invalid_argument naming the record, CSV line or byte offset; what
+// the events mean (time order, pages within the data set) is
+// workload::validate_trace's to check, as for every replayed trace.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +24,8 @@ namespace jpm::workload {
 
 // Every reader and writer works on Trace lanes. Neither format carries the
 // derived fields, so a loaded Trace has page_bytes/total_pages/duration_s
-// zero for the caller to fill.
+// zero for the caller to fill. Writers throw std::runtime_error when the
+// stream fails.
 void write_binary_trace(std::ostream& os, const Trace& trace);
 Trace read_binary_trace(std::istream& is);
 
@@ -43,14 +46,15 @@ enum class TraceFormat {
 };
 
 // Peeks at the stream's first bytes and classifies them, restoring the read
-// position. Throws CheckError naming `name` when the bytes match no known
-// format (e.g. a truncated or misnamed binary file).
+// position. Throws std::invalid_argument naming `name` when the bytes match
+// no known format (e.g. a truncated or misnamed binary file).
 TraceFormat sniff_trace_format(std::istream& is, const std::string& name);
 
 // File-path conveniences. Saving picks the format by extension (".csv" =
 // CSV, anything else = JPMT binary); loading sniffs the content instead and
 // rejects JPMC files with a pointer to jpm::tracefile (which owns the
-// chunked reader). Throw CheckError on IO failure or format mismatch.
+// chunked reader). Loading throws std::invalid_argument prefixed with
+// `path`; saving throws std::runtime_error.
 void save_trace(const std::string& path, const Trace& trace);
 Trace load_trace(const std::string& path);
 

@@ -4,22 +4,26 @@
 // in via JPM_CLI_PATH; the checked-in scenarios via JPM_SCENARIOS_DIR.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/ioctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "jpm/util/json.h"
 #include "jpm/workload/synthesizer.h"
 #include "jpm/workload/trace_io.h"
 
@@ -54,6 +58,19 @@ std::string write_temp(const std::string& name, const std::string& contents) {
   std::ofstream out(path);
   out << contents;
   return path;
+}
+
+// The demo scenario with its workload point replaying `trace`, saved under
+// TempDir as `name`.
+std::string demo_replaying(const std::string& trace, const std::string& name) {
+  std::ifstream in(demo_scenario());
+  std::stringstream ss;
+  ss << in.rdbuf();
+  std::string text = ss.str();
+  const auto pos = text.find("\"workload\": {");
+  EXPECT_NE(pos, std::string::npos);
+  text.insert(pos, "\"trace\": {\"path\": \"" + trace + "\"},\n      ");
+  return write_temp(name, text);
 }
 
 TEST(CliTest, NoArgumentsPrintsUsageAndExitsNonZero) {
@@ -347,6 +364,23 @@ TEST(CliTest, TracePackRejectsWhatReplayWouldReject) {
   std::remove(packed.c_str());
 }
 
+// The legacy readers decode and validate_trace orders: a CSV that goes
+// backwards is named by path and event, not by an internal check.
+TEST(CliTest, TracePackNamesABackwardsCsv) {
+  const std::string packed = ::testing::TempDir() + "cli_backwards.jpmc";
+  const auto csv = write_temp("cli_trace_backwards.csv",
+                              "time_s,page,request_start\n"
+                              "0.5,3,1\n0.25,4,1\n");
+  const auto r = run_cmd(kCli + " trace pack " + csv + " " + packed);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find(csv + ": replay trace must be time-sorted: "
+                                "event 1 (t=0.25, page 4)"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("JPM_CHECK"), std::string::npos) << r.output;
+  std::remove(packed.c_str());
+}
+
 // `trace cat --format=csv` and write_csv_trace share one row format, so a
 // CSV packed and decoded again comes back byte for byte.
 TEST(CliTest, TraceCatCsvReproducesThePackedCsv) {
@@ -415,16 +449,7 @@ TEST(CliTest, RunFromTraceFilesMatchesInMemoryStdout) {
                 .exit_code,
             0);
 
-  // Rewrite the scenario's workload point to replay the file.
-  std::ifstream in(demo_scenario());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string text = ss.str();
-  const std::string needle = "\"workload\": {";
-  const auto pos = text.find(needle);
-  ASSERT_NE(pos, std::string::npos);
-  text.insert(pos, "\"trace\": {\"path\": \"" + file + "\"},\n      ");
-  const auto traced = write_temp("cli_run_traced.json", text);
+  const auto traced = demo_replaying(file, "cli_run_traced.json");
 
   // Both runs export telemetry to the same base so the stdout log lines
   // match; the report left on disk is the file-backed run's.
@@ -446,33 +471,103 @@ TEST(CliTest, RunFromTraceFilesMatchesInMemoryStdout) {
   std::remove(file.c_str());
 }
 
-// The checked-in parameter files of bench_* harnesses pass `jpm validate`
-// but have no workload points or no always-on baseline to sweep. `jpm run`
-// must reject them with the JSON path and the harness to use, before it
-// prints the scenario header or simulates anything.
-TEST(CliTest, RunRejectsHarnessOnlyScenariosBeforePrinting) {
-  const std::pair<const char*, const char*> cases[] = {
-      {"fig5_pareto", "$.workloads"}, {"models", "$.workloads"},
-      {"timeout_policies", "$.workloads"}, {"fig9_timeline", "$.roster"},
-      {"micro", "$.roster"}, {"ext_pblru", "$.roster"}};
-  for (const auto& [name, path] : cases) {
-    SCOPED_TRACE(name);
-    const std::string file = kScenarios + "/" + name + ".json";
-    ASSERT_EQ(run_cmd(kCli + " validate " + file).exit_code, 0);
+// A checked-in scenario with one array trimmed (json::Value surgery), saved
+// under TempDir.
+std::string trimmed_scenario(const std::string& name, const char* key,
+                             std::size_t keep) {
+  std::ifstream in(kScenarios + "/" + name + ".json");
+  std::stringstream text;
+  text << in.rdbuf();
+  jpm::util::json::Value root;
+  EXPECT_TRUE(jpm::util::json::parse(text.str(), &root));
+  root.as_object()[key].as_array().resize(keep);
+  return write_temp("cli_trimmed_" + name + ".json",
+                    jpm::util::json::dump(root, 2));
+}
 
-    const std::string run = "JPM_BENCH_FAST=1 " + kCli + " run " + file;
-    const auto r = run_cmd(run);
-    EXPECT_EQ(r.exit_code, 1) << r.output;
-    EXPECT_NE(r.output.find(std::string("error: ") + path + ": "),
-              std::string::npos)
-        << r.output;
-    EXPECT_NE(r.output.find(std::string("bench_") + name), std::string::npos)
-        << r.output;
-    EXPECT_EQ(r.output.find("JPM_CHECK"), std::string::npos) << r.output;
-    // Nothing reaches stdout (the subshell drops stderr).
-    EXPECT_EQ(run_cmd("(" + run + " 2>/dev/null)").output, "");
+// One notion of a valid scenario: a file missing the shape its
+// output.report reads fails `jpm validate` and `jpm run` alike, with the
+// same JSON path, before anything is printed or simulated.
+TEST(CliTest, ValidateAndRunRejectTrimmedShapesAlike) {
+  const std::pair<std::string, const char*> cases[] = {
+      // Table V reads roster[1] as its baseline.
+      {trimmed_scenario("table5_bank", "roster", 1), "$.roster"},
+      // PB-LRU merges workloads[0] and workloads[1].
+      {trimmed_scenario("ext_pblru", "workloads", 1), "$.workloads"},
+      // A sweep normalizes against its always-on entry (roster[0]).
+      {trimmed_scenario("quickstart", "roster", 0), "$.roster"},
+  };
+  for (const auto& [file, path] : cases) {
+    SCOPED_TRACE(file);
+    for (const char* command : {" validate ", " run "}) {
+      const std::string cmd = "JPM_BENCH_FAST=1 " + kCli + command + file;
+      const auto r = run_cmd(cmd);
+      EXPECT_EQ(r.exit_code, 1) << r.output;
+      EXPECT_NE(r.output.find(std::string("error: ") + path + ": report \""),
+                std::string::npos)
+          << r.output;
+      EXPECT_EQ(r.output.find("JPM_CHECK"), std::string::npos) << r.output;
+      // Nothing reaches stdout (the subshell drops stderr).
+      EXPECT_EQ(run_cmd("(" + cmd + " 2>/dev/null)").output, "");
+    }
   }
 }
+
+// One test per checked-in scenario (a ctest each, so `ctest -j` spreads
+// them): what `jpm validate` accepts, `jpm run` executes, and it prints the
+// header and at least one table — unless the file declares nothing to print
+// (a sweep with no header, no tables and no cluster, such as the examples'
+// parameter files), whose stdout is empty.
+std::vector<std::string> scenario_names() {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(kScenarios)) {
+    if (entry.path().extension() == ".json") {
+      names.push_back(entry.path().stem().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+class ScenarioFileTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ScenarioFileTest, ValidateAcceptsAndRunPrintsTheReport) {
+  const std::string file = kScenarios + "/" + GetParam() + ".json";
+  const auto v = run_cmd(kCli + " validate " + file);
+  EXPECT_EQ(v.exit_code, 0) << v.output;
+
+  const auto r =
+      run_cmd("(JPM_BENCH_FAST=1 " + kCli + " run " + file + " 2>/dev/null)");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.find("JPM_CHECK"), std::string::npos) << r.output;
+
+  std::ifstream in(file);
+  std::stringstream text;
+  text << in.rdbuf();
+  jpm::util::json::Value root;
+  ASSERT_TRUE(jpm::util::json::parse(text.str(), &root));
+  const auto& output = root.as_object().find("output")->as_object();
+  const bool prints_nothing =
+      output.find("report")->as_string() == "sweep" &&
+      output.find("header")->as_string().empty() &&
+      output.find("tables")->as_array().empty() &&
+      !root.as_object().contains("cluster");
+  if (prints_nothing) {
+    EXPECT_EQ(r.output, "");
+    return;
+  }
+  const auto header_end = r.output.find('\n');
+  ASSERT_NE(header_end, std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("\n+-", header_end), std::string::npos)
+      << "no table after the header:\n"
+      << r.output;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, ScenarioFileTest, ::testing::ValuesIn(scenario_names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 // --telemetry announces <base>.{report.json,trace.json,periods.csv} before
 // the run; a run that then fails still leaves them behind.
@@ -481,8 +576,11 @@ TEST(CliTest, FailingRunStillExportsTheAnnouncedTelemetry) {
   for (const char* ext : {".report.json", ".trace.json", ".periods.csv"}) {
     std::remove((base + ext).c_str());
   }
-  const auto r = run_cmd("JPM_BENCH_FAST=1 " + kCli + " run " + kScenarios +
-                         "/models.json --telemetry=" + base);
+  // A valid scenario whose trace file is missing fails inside the run.
+  const auto missing =
+      demo_replaying("/nonexistent/cli.jpmc", "cli_missing_trace.json");
+  const auto r = run_cmd("JPM_BENCH_FAST=1 " + kCli + " run " + missing +
+                         " --telemetry=" + base);
   EXPECT_EQ(r.exit_code, 1) << r.output;
   ASSERT_NE(r.output.find("telemetry -> " + base), std::string::npos)
       << r.output;

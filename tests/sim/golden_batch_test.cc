@@ -1,13 +1,14 @@
 // Scenario-level golden differential for the batched event path: the stdout
 // tables and telemetry report of golden scenarios must be byte-identical
 // across thread count (JPM_THREADS 1 / 8). The batch walk re-orders
-// prefetches and hoists counters but may
-// never change a single reported byte; this is the end-to-end check over
-// the engine's batched resolve+descend loop, the counter tree under it, the
-// per-bank timers in the batch limit (table5_bank), and the cluster sweep's
-// per-job telemetry streams (ext_cluster). See
-// tests/sim/batch_invariance_test.cc for the RunMetrics-level chunking
-// check across the full policy roster.
+// prefetches and hoists counters but may never change a single reported
+// byte; this is the end-to-end check over the engine's batched
+// resolve+descend loop and the counter tree under it, across the joint
+// method's knob overrides (ablation_joint), write traffic and flush ticks
+// (ext_writes), multi-speed disks (ext_drpm), resize units from 16 MB to
+// 1 GB (table5_bank), and the cluster's per-job telemetry streams
+// (ext_cluster). See tests/sim/batch_invariance_test.cc for the
+// RunMetrics-level chunking check across the full policy roster.
 #include <gtest/gtest.h>
 
 #ifdef JPM_SCENARIOS_DIR
@@ -85,7 +86,12 @@ TEST(GoldenBatchTest, ScenariosAreByteIdenticalAcrossBatchThreadsAndSched) {
       const EnvVar serial("JPM_THREADS", "1");
       base = run_scenario_capture(sc);
     }
-    ASSERT_FALSE(base.stdout_text.empty());
+    // The header line and at least one rendered table: a report that
+    // prints only its header would compare equal vacuously.
+    const auto first_newline = base.stdout_text.find('\n');
+    ASSERT_NE(first_newline, std::string::npos);
+    EXPECT_NE(base.stdout_text.find("\n+-", first_newline), std::string::npos)
+        << base.stdout_text;
 
     const EnvVar wide("JPM_THREADS", "8");
     const ScenarioRun got = run_scenario_capture(sc);

@@ -286,6 +286,58 @@ TEST(SpecValidateTest, MultiSpeedRequiresSingleDisk) {
             "$.roster[0].multi_speed: multi-speed arrays are not modeled");
 }
 
+// output.report decides the shape a valid scenario has; a file missing it
+// fails validation (and so `jpm validate` and `jpm run` alike) by path.
+TEST(SpecValidateTest, ReportShapeNamesThePath) {
+  Scenario sc = valid_scenario();
+  sc.output.report = Report::kBank;
+  EXPECT_NO_THROW(validate_scenario(sc));
+  sc.roster.resize(1);
+  EXPECT_EQ(error_of([&] { validate_scenario(sc); }),
+            "$.roster: report \"bank\" needs at least 2 roster entries, got 1");
+
+  sc = valid_scenario();
+  sc.output.report = Report::kPartition;
+  EXPECT_EQ(error_of([&] { validate_scenario(sc); }),
+            "$.workloads: report \"partition\" needs at least 2 workload "
+            "point(s), got 1");
+
+  sc = valid_scenario();
+  sc.roster.push_back(sim::always_on_policy());
+  EXPECT_EQ(error_of([&] { validate_scenario(sc); }),
+            "$.roster: report \"sweep\" needs exactly one always-on baseline "
+            "to normalize energy against, got 2");
+
+  sc = valid_scenario();
+  sc.output.report = Report::kDistribution;
+  EXPECT_EQ(error_of([&] { validate_scenario(sc); }),
+            "$.cluster: report \"distribution\" needs a cluster section");
+  sc.cluster = cluster::ClusterConfig{};
+  EXPECT_NO_THROW(validate_scenario(sc));
+  sc.output.report = Report::kAccesses;
+  EXPECT_EQ(error_of([&] { validate_scenario(sc); }),
+            "$.cluster: report \"accesses\" does not use a cluster section");
+
+  // A cluster sweep needs no baseline; the report-free files need nothing.
+  sc.output.report = Report::kSweep;
+  sc.roster = {sim::joint_policy()};
+  EXPECT_NO_THROW(validate_scenario(sc));
+  sc = Scenario{};
+  sc.output.report = Report::kModels;
+  EXPECT_NO_THROW(validate_scenario(sc));
+}
+
+TEST(SpecErrorTest, UnknownReportListsTheReports) {
+  const std::string msg = error_of([] {
+    parse_scenario(R"({"output": {"report": "fig7"}})");
+  });
+  EXPECT_EQ(msg.rfind("$.output.report: unknown value \"fig7\" (expected one "
+                      "of sweep, accesses, ",
+                      0),
+            0u)
+      << msg;
+}
+
 TEST(SpecErrorTest, LoadScenarioFilePrefixesThePath) {
   const std::string msg = error_of([] {
     load_scenario_file("/nonexistent/jpm_spec_test.json");

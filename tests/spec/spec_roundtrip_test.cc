@@ -255,13 +255,17 @@ TEST(SpecRoundTripTest, ScenarioIsByteStableIncludingCluster) {
   cluster::ClusterConfig cl;
   cl.server_count = 4;
   sc.cluster = cl;
+  sc.output.report = Report::kDistribution;
   sc.output.header = "round-trip scenario";
   sc.output.tables.push_back({"total energy", Metric::kTotalPct});
 
   const std::string once = serialize_scenario(sc);
-  const std::string twice = serialize_scenario(parse_scenario(once));
+  const Scenario parsed = parse_scenario(once);
+  EXPECT_EQ(parsed.output.report, Report::kDistribution);
+  const std::string twice = serialize_scenario(parsed);
   EXPECT_EQ(twice, once);
   EXPECT_NE(once.find("\"cluster\""), std::string::npos);
+  EXPECT_NE(once.find("\"report\": \"distribution\""), std::string::npos);
   EXPECT_EQ(once.back(), '\n');
 }
 

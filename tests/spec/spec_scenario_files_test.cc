@@ -1,8 +1,8 @@
 // The checked-in scenarios/ corpus: every file must parse, pass semantic
 // validation, and be canonical (byte-equal to the serialization of its own
 // parse) so the goldens double as format documentation and `jpm print` is a
-// no-op on them. Also covers the fast-mode transform and header expansion
-// that `jpm run` and the bench harnesses share.
+// no-op on them. Also covers `jpm run`'s fast-mode transform and header
+// expansion.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -17,19 +17,16 @@
 namespace jpm::spec {
 namespace {
 
-// One scenario per bench harness (21) plus the streaming daemon demo and
-// the fleet-scale grid sweep — a new harness or CLI demo adds its scenario
-// here.
+// One scenario per paper table/figure and extension study (18), the two
+// examples' parameter files, the streaming daemon demo and the fleet-scale
+// grid sweep (22) — a new report or CLI demo adds its scenario here.
 const std::set<std::string> kScenarioNames = {
-    "ablation_joint", "ext_cluster",     "ext_devices",
-    "fleet_sweep",
-    "ext_drpm",       "ext_multidisk",   "ext_pblru",
-    "ext_writes",     "faults",          "fig5_pareto",
-    "fig7_dataset",   "fig8_popularity", "fig8_rate",
-    "fig9_timeline",  "micro",           "models",
-    "policy_faceoff", "quickstart",      "serve_demo",
-    "table3_accesses", "table4_period",  "table5_bank",
-    "timeout_policies",
+    "ablation_joint",  "ext_cluster",     "ext_devices",   "ext_drpm",
+    "ext_multidisk",   "ext_pblru",       "ext_writes",    "faults",
+    "fig5_pareto",     "fig7_dataset",    "fig8_popularity", "fig8_rate",
+    "fig9_timeline",   "fleet_sweep",     "models",        "policy_faceoff",
+    "quickstart",      "serve_demo",      "table3_accesses", "table4_period",
+    "table5_bank",     "timeout_policies",
 };
 
 std::string read_file(const std::string& path) {
@@ -75,7 +72,7 @@ TEST(ScenarioFilesTest, HashesAreDistinctAcrossTheCorpus) {
 }
 
 TEST(ScenarioFilesTest, FastModeTransformMatchesHistoricalNumbers) {
-  // The harnesses' historical smoke schedule: 1200 s warm-up + 60 min
+  // The historical smoke schedule: 1200 s warm-up + 60 min
   // measured becomes 600 s + 15 min. apply_fast_mode halves the warm-up and
   // quarters the measured window of every workload point.
   Scenario sc = load_scenario_file(scenario_path("fig7_dataset"));

@@ -1,11 +1,13 @@
-// Tier-1 smoke test for the telemetry pipeline end to end: runs a real
-// bench harness as a subprocess with --telemetry, then validates the
-// emitted report against the checked-in schema using a small subset-JSON-
-// Schema validator built on the in-repo parser (no third-party deps).
+// Tier-1 smoke test for the telemetry pipeline end to end: runs
+// `jpm run scenarios/models.json` as a subprocess with --telemetry, then
+// validates the emitted report against the checked-in schema using a small
+// subset-JSON-Schema validator built on the in-repo parser (no third-party
+// deps).
 //
 // Build wiring (tests/CMakeLists.txt) provides:
-//   JPM_SMOKE_BENCH_PATH  — $<TARGET_FILE:bench_models>
-//   JPM_SCHEMA_PATH       — tests/telemetry/telemetry_report.schema.json
+//   JPM_CLI_PATH        — $<TARGET_FILE:jpm>
+//   JPM_SCENARIOS_DIR   — scenarios/
+//   JPM_SCHEMA_PATH     — tests/telemetry/telemetry_report.schema.json
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -269,20 +271,20 @@ TEST(ReportSchemaTest, TraceProvenanceAppearsInReport) {
   EXPECT_EQ(report.as_object().find("trace_hash"), nullptr);
 }
 
-// The zero-to-artifact path a user actually takes: run a bench harness with
-// --telemetry and validate what lands on disk. Also checks the "telemetry
+// The zero-to-artifact path a user actually takes: `jpm run` with
+// --telemetry, validating what lands on disk. Also checks the "telemetry
 // never touches stdout" contract by diffing against a telemetry-off run.
-TEST(ReportSchemaTest, BenchHarnessSubprocessReportValidates) {
-  const std::string bench = JPM_SMOKE_BENCH_PATH;
+TEST(ReportSchemaTest, JpmRunSubprocessReportValidates) {
+  const std::string run = std::string("JPM_BENCH_FAST=1 '") + JPM_CLI_PATH +
+                          "' run '" + JPM_SCENARIOS_DIR + "/models.json'";
   const std::string base = testing::TempDir() + "jpm_schema_smoke";
   const std::string with_out = base + ".stdout";
   const std::string without_out = base + ".stdout_off";
 
-  const std::string run_with = "JPM_BENCH_FAST=1 '" + bench +
-                               "' '--telemetry=" + base + "' > '" + with_out +
-                               "' 2>/dev/null";
-  const std::string run_without = "JPM_BENCH_FAST=1 '" + bench + "' > '" +
-                                  without_out + "' 2>/dev/null";
+  const std::string run_with = run + " '--telemetry=" + base + "' > '" +
+                               with_out + "' 2>/dev/null";
+  const std::string run_without =
+      run + " > '" + without_out + "' 2>/dev/null";
   ASSERT_EQ(std::system(run_with.c_str()), 0) << run_with;
   ASSERT_EQ(std::system(run_without.c_str()), 0) << run_without;
 
@@ -291,8 +293,7 @@ TEST(ReportSchemaTest, BenchHarnessSubprocessReportValidates) {
   EXPECT_TRUE(errors.empty()) << errors.front() << " (+" << errors.size() - 1
                               << " more)";
 
-  // The harness loads its scenario through bench::load_scenario, so the
-  // report must carry the resolved scenario and its content hash.
+  // `jpm run` publishes the resolved scenario and its content hash.
   {
     Value report;
     std::string parse_error;
@@ -306,8 +307,8 @@ TEST(ReportSchemaTest, BenchHarnessSubprocessReportValidates) {
     EXPECT_EQ(hash->as_string().size(), 16u);
   }
 
-  // trace.json must parse; periods.csv exists (possibly empty for harnesses
-  // that run no simulation).
+  // trace.json must parse; periods.csv exists (empty here: the models
+  // report runs no simulation).
   Value trace;
   std::string error;
   EXPECT_TRUE(

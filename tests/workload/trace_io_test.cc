@@ -8,9 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
-#include "jpm/util/check.h"
 #include "jpm/workload/synthesizer.h"
 #include "trace_from_events.h"
 
@@ -65,7 +65,7 @@ TEST(TraceIoTest, EmptyTraceRoundTrips) {
 TEST(TraceIoTest, RejectsGarbageBinary) {
   std::stringstream ss;
   ss << "definitely not a trace";
-  EXPECT_THROW(read_binary_trace(ss), CheckError);
+  EXPECT_THROW(read_binary_trace(ss), std::invalid_argument);
 }
 
 TEST(TraceIoTest, RejectsTruncatedBinary) {
@@ -74,7 +74,7 @@ TEST(TraceIoTest, RejectsTruncatedBinary) {
   std::string data = ss.str();
   data.resize(data.size() - 10);
   std::stringstream truncated(data);
-  EXPECT_THROW(read_binary_trace(truncated), CheckError);
+  EXPECT_THROW(read_binary_trace(truncated), std::invalid_argument);
 }
 
 TEST(TraceIoTest, RejectsCorruptHeaderCountBeforeAllocating) {
@@ -89,8 +89,8 @@ TEST(TraceIoTest, RejectsCorruptHeaderCountBeforeAllocating) {
   std::stringstream corrupt(data);
   try {
     read_binary_trace(corrupt);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("corrupt trace header"), std::string::npos);
     EXPECT_NE(what.find(std::to_string(huge)), std::string::npos);
@@ -120,8 +120,8 @@ TEST(TraceIoTest, TruncationErrorNamesRecordAndByteOffset) {
   std::istream truncated(&buf);
   try {
     read_binary_trace(truncated);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("record 2 of 4"), std::string::npos);
     EXPECT_NE(what.find("byte offset 64"), std::string::npos);  // 16 + 2*24
@@ -137,8 +137,8 @@ TEST(TraceIoTest, RejectsUnsupportedVersionNamingIt) {
   std::stringstream wrong(data);
   try {
     read_binary_trace(wrong);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("99"), std::string::npos);
   }
 }
@@ -146,13 +146,24 @@ TEST(TraceIoTest, RejectsUnsupportedVersionNamingIt) {
 TEST(TraceIoTest, RejectsMalformedCsv) {
   std::stringstream ss;
   ss << "time_s,page,request_start\n1.0;4;1\n";
-  EXPECT_THROW(read_csv_trace(ss), CheckError);
+  try {
+    read_csv_trace(ss);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("malformed CSV trace line 2: 1.0;4;1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
+// The readers decode; the time order is the replay rule's to check
+// (validate_trace), as for every trace source.
 TEST(TraceIoTest, RejectsUnsortedTrace) {
   std::stringstream ss;
   ss << "2.0,1,1\n1.0,2,1\n";
-  EXPECT_THROW(read_csv_trace(ss), CheckError);
+  const Trace t = read_csv_trace(ss);
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_THROW(validate_trace(t), std::invalid_argument);
 }
 
 TEST(TraceIoTest, CsvHeaderIsOptional) {
@@ -187,7 +198,24 @@ TEST(TraceIoTest, FileRoundTripBothFormats) {
 }
 
 TEST(TraceIoTest, MissingFileThrows) {
-  EXPECT_THROW(load_trace("/nonexistent/path/trace.jpmt"), CheckError);
+  EXPECT_THROW(load_trace("/nonexistent/path/trace.jpmt"),
+               std::invalid_argument);
+}
+
+TEST(TraceIoTest, LoadTraceErrorsNameThePathAndTheLine) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "jpm_bad_line.csv").string();
+  std::ofstream(path) << "time_s,page,request_start\n0.5,1,1\n0.75,x,1\n";
+  try {
+    load_trace(path);
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(path +
+                                         ": malformed CSV trace line 3"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
 }
 
 // ---- format sniffing -------------------------------------------------------
@@ -198,7 +226,7 @@ std::string sniff_error(const std::string& content) {
   try {
     sniff_trace_format(ss, "t.dat");
     return "";
-  } catch (const CheckError& e) {
+  } catch (const std::invalid_argument& e) {
     return e.what();
   }
 }
@@ -235,8 +263,8 @@ TEST(TraceIoTest, LoadTraceRefusesChunkedFilesByName) {
   f.close();
   try {
     load_trace(path);
-    ADD_FAILURE() << "expected CheckError";
-  } catch (const CheckError& e) {
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("jpm::tracefile::TraceReader"),
               std::string::npos)
         << e.what();
